@@ -4,9 +4,12 @@ Not a paper figure; it records what the two scaling axes buy on this
 hardware.  Per-site seeding makes every engine's output bit-identical
 to the serial crawl, so the only variable is wall-clock:
 
-* **process workers** (``jobs``) — speedup tracks the machine's core
-  count: on a single-core runner the figures show pure process
-  overhead, on an M-core box jobs=M approaches M×.
+* **process workers** (``jobs``) — the coordinator on a
+  ``ProcessPoolBackend``; speedup tracks the machine's core count: on a
+  single-core runner the figures show pure process overhead, on an
+  M-core box jobs=M approaches M×.  The coordinator crawls whole
+  populations, so these runs crawl a ``SAMPLE``-site population of
+  their own: same site count as the serial sample, not the same sites.
 * **async visits** (``concurrency``) — the cooperative engine overlaps
   in-flight visits on one core.  The simulator's waits are virtual, so
   on a single core this measures the engine's scheduling overhead:
@@ -17,9 +20,14 @@ to the serial crawl, so the only variable is wall-clock:
 
 import json
 import os
+import tempfile
 import time
 
-from repro.crawler import CrawlConfig, Crawler, ParallelCrawler
+import pytest
+
+from repro.crawler import (Coordinator, CrawlConfig, Crawler,
+                           ProcessPoolBackend, load_logs)
+from repro.ecosystem import PopulationConfig, generate_population
 
 from conftest import banner
 
@@ -30,6 +38,20 @@ def _sample(population):
     return population.successful_sites()[:SAMPLE]
 
 
+@pytest.fixture(scope="module")
+def sample_population():
+    return generate_population(PopulationConfig(n_sites=SAMPLE, seed=2025))
+
+
+def _coordinated_crawl(population, jobs, concurrency=1):
+    """Crawl ``population`` through the coordinator on ``jobs`` processes."""
+    config = CrawlConfig(seed=2025, concurrency=concurrency)
+    with tempfile.TemporaryDirectory(prefix="bench-crawl-") as out:
+        Coordinator(population, config,
+                    backend=ProcessPoolBackend(jobs)).run(out, n_shards=jobs)
+        return load_logs(out)
+
+
 def test_serial_crawl(benchmark, population):
     sites = _sample(population)
     crawler = Crawler(population, CrawlConfig(seed=2025))
@@ -37,17 +59,13 @@ def test_serial_crawl(benchmark, population):
     assert logs
 
 
-def test_parallel_crawl_two_jobs(benchmark, population):
-    sites = _sample(population)
-    crawler = ParallelCrawler(population, CrawlConfig(seed=2025), jobs=2)
-    logs = benchmark(crawler.crawl, sites)
+def test_parallel_crawl_two_jobs(benchmark, sample_population):
+    logs = benchmark(_coordinated_crawl, sample_population, 2)
     assert logs
 
 
-def test_parallel_crawl_four_jobs(benchmark, population):
-    sites = _sample(population)
-    crawler = ParallelCrawler(population, CrawlConfig(seed=2025), jobs=4)
-    logs = benchmark(crawler.crawl, sites)
+def test_parallel_crawl_four_jobs(benchmark, sample_population):
+    logs = benchmark(_coordinated_crawl, sample_population, 4)
     assert logs
 
 
@@ -65,7 +83,8 @@ def test_async_crawl_concurrency_64(benchmark, population):
     assert logs
 
 
-def test_serial_vs_async_vs_process_summary(population):
+def test_serial_vs_async_vs_process_summary(population,
+                                            sample_population):
     """One-shot wall-clock comparison with a determinism cross-check.
 
     Covers all three engines: the serial path (the engine's trivial
@@ -100,12 +119,14 @@ def test_serial_vs_async_vs_process_summary(population):
         assert stream == reference
         timings["serial"] = min(timings["serial"],
                                 timings.pop(f"serial#{attempt}"))
+    serial_sample = [json.dumps(log.to_dict(), sort_keys=True) for log in
+                     Crawler(sample_population, CrawlConfig(seed=2025))
+                     .crawl()]
     for jobs, concurrency in ((2, 1), (4, 1), (2, 16)):
-        crawler = ParallelCrawler(population, CrawlConfig(seed=2025),
-                                  jobs=jobs, concurrency=concurrency)
         label = (f"jobs={jobs}" if concurrency == 1
                  else f"jobs={jobs} async={concurrency}")
-        assert run(label, crawler.crawl, sites) == reference
+        assert run(label, _coordinated_crawl, sample_population, jobs,
+                   concurrency) == serial_sample
 
     banner("Serial vs async vs process crawl",
            "crawl engines, not a paper figure")

@@ -11,9 +11,9 @@ Run:  python examples/measurement_study.py [n_sites] [--jobs J]
       (default 2000; the paper's scale is 20000.  --jobs fans the
       crawl over J worker processes, --concurrency overlaps C
       in-flight visits per worker — both with bit-identical results.
-      --cache-dir runs the crawl through the distributed coordinator's
-      shard cache, so re-running the analysis over the same population
-      performs zero visits)
+      --cache-dir gives the crawl coordinator a shard cache, so
+      re-running the analysis over the same population performs zero
+      visits)
 """
 
 import sys
@@ -29,8 +29,8 @@ from repro.analysis.reports import (
 )
 from repro.cliutil import (pop_choice_flag, pop_flag, pop_int_flag,
                            reject_unknown_flags)
-from repro.crawler import (CrawlConfig, Coordinator, ParallelCrawler,
-                           ShardStore, load_logs, make_backend)
+from repro.crawler import (CrawlConfig, Coordinator, ShardStore, load_logs,
+                           make_backend)
 from repro.ecosystem import PopulationConfig, generate_population
 
 
@@ -50,23 +50,19 @@ def main():
           f"jobs={jobs}, concurrency={concurrency})...")
     start = time.time()
     config = CrawlConfig(seed=2025, concurrency=concurrency)
-    if cache_dir is not None or backend_name is not None:
-        backend = make_backend(backend_name or "pool", jobs=jobs,
-                               cache_dir=cache_dir)
-        store = ShardStore(cache_dir) if cache_dir else None
-        coordinator = Coordinator(population, config, backend=backend,
-                                  store=store)
-        # n_shards stays jobs-independent: shard ranks key the cache,
-        # so a --jobs change must keep hitting a warm store.
-        with tempfile.TemporaryDirectory(prefix="measurement-crawl-") \
-                as crawl_dir:
-            report = coordinator.run(crawl_dir, n_shards=2)
-            logs = load_logs(crawl_dir)
-        print(f"(coordinator: executed={report.executed_shards} shards, "
-              f"cached={report.cached_shards}, "
-              f"visits executed={report.visits_executed})")
-    else:
-        logs = ParallelCrawler(population, config, jobs=jobs).crawl()
+    backend = make_backend(backend_name, jobs=jobs, cache_dir=cache_dir)
+    store = ShardStore(cache_dir) if cache_dir else None
+    coordinator = Coordinator(population, config, backend=backend,
+                              store=store)
+    # n_shards stays jobs-independent: shard ranks key the cache, so a
+    # --jobs change must keep hitting a warm store.
+    with tempfile.TemporaryDirectory(prefix="measurement-crawl-") \
+            as crawl_dir:
+        report = coordinator.run(crawl_dir, n_shards=2)
+        logs = load_logs(crawl_dir)
+    print(f"(coordinator: executed={report.executed_shards} shards, "
+          f"cached={report.cached_shards}, "
+          f"visits executed={report.visits_executed})")
     print(f"Retained {len(logs)}/{n_sites} sites with complete data "
           f"(paper: 14,917/20,000) in {time.time() - start:.0f}s\n")
 

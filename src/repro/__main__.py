@@ -9,12 +9,11 @@ evaluate [N]
 crawl [N] [OUT] [--jobs J] [--concurrency C] [--shards S] [--gzip]
       [--progress] [--backend B] [--cache-dir D] [--max-retries R]
       [--task-timeout S] [--store-retries N] [--store-backoff S]
-    crawl and save raw visit logs.  OUT is a single ``.jsonl[.gz]``
-    file by default; with ``--shards`` it is a directory holding
-    ``shard-NNNN.jsonl[.gz]`` files plus a ``manifest.json``.  With
-    ``--backend``/``--cache-dir`` the crawl runs through the
-    distributed coordinator (durable queue.jsonl, idempotent shard
-    retry, content-addressed shard cache)
+    crawl through the coordinator and save raw visit logs.  OUT
+    (default ``crawl``) is always a directory holding
+    ``shard-NNNN.jsonl[.gz]`` files, a ``manifest.json`` pinning each
+    shard's SHA-256, and the durable ``queue.jsonl`` work journal
+    (idempotent shard retry, resume by re-running)
 crawl-shard SPEC INDEX [--cache-dir D]
     worker entrypoint for the distributed coordinator: execute shard
     INDEX of a ``workspec.json``, write its shard file next to the
@@ -23,10 +22,9 @@ crawl-shard SPEC INDEX [--cache-dir D]
     its own side (keyed by the fingerprints the spec carries), so a
     repeat shard costs zero visits
 analyze DATASET [--snapshot PATH] [--resume] [--report F]
-    run the §5 analysis over a crawl dataset (single ``.jsonl[.gz]``
-    file or sharded directory) and print the headline prevalence
-    numbers.  With ``--snapshot PATH`` the per-shard accumulator state
-    is saved as a versioned snapshot (sharded datasets only); with
+    run the §5 analysis over a crawl dataset directory and print the
+    headline prevalence numbers.  With ``--snapshot PATH`` the
+    per-shard accumulator state is saved as a versioned snapshot; with
     ``--resume`` an existing snapshot at PATH is diffed against the
     dataset's current shard digests and only changed/added shards are
     re-analyzed — O(delta), not O(population) — with unchanged shards
@@ -68,29 +66,29 @@ full [N] [OUT] [--jobs J] [--concurrency C] [--shards S]
 Options
 -------
 --jobs J         fan the crawl out over J worker processes (default
-                 1 = serial).  Per-site seeding makes the result
-                 bit-identical to a serial crawl for any J.
+                 1 = serial).  Without ``--backend``, J > 1 selects
+                 the ``pool`` backend and J = 1 ``inprocess``.
+                 Per-site seeding makes the result bit-identical to a
+                 serial crawl for any J.
 --concurrency C  overlap C in-flight visits per worker via the
                  cooperative visit engine (default 1 = serial inside
                  a worker).  Output is bit-identical for any C.
---shards S       split the saved dataset into S shard files + manifest
-                 (default: a single file; OUT is treated as a
-                 directory when --shards is given).
---gzip           gzip shard files (single-file output is gzipped when
-                 OUT ends in ``.gz``).
+--shards S       split the saved dataset into S shard files (default:
+                 one shard per 256 sites).  Not derived from --jobs:
+                 shard ranks key the shard cache.
+--gzip           gzip shard files.
 --progress       print one stderr line per completed shard batch.
---backend B      run the crawl through the distributed coordinator on
-                 backend B: ``inprocess`` (this process), ``pool``
-                 (local worker processes), or ``subprocess`` (each
-                 shard execs ``python -m repro crawl-shard``, the
-                 cross-machine worker protocol).  Implies a sharded
-                 OUT directory; the result is bit-identical to the
-                 serial pipeline for every backend.
+--backend B      run the coordinator's shards on backend B:
+                 ``inprocess`` (this process; rejects --jobs > 1),
+                 ``pool`` (local worker processes), or ``subprocess``
+                 (each shard execs ``python -m repro crawl-shard``, the
+                 cross-machine worker protocol).  The result is
+                 bit-identical to the serial pipeline for every
+                 backend.
 --cache-dir D    content-addressed shard cache: shards already crawled
                  for the same population/config/ranks are reused
                  without executing a single visit, and new shards are
-                 stored for the next run.  Implies the coordinator.
-                 D is a local directory or an ``http(s)://`` URL of a
+                 stored for the next run.  D is a local directory or an ``http(s)://`` URL of a
                  ``store-serve`` endpoint; with the subprocess backend
                  the value is forwarded to every worker, so workers
                  hit the shared store directly and the coordinator
@@ -113,6 +111,15 @@ Options
                  these knobs enter cache keys or output bytes.
 
 A lone ``--`` ends option parsing; later arguments are positional.
+
+Exit status
+-----------
+0 success; 1 a failed command (e.g. an unreadable snapshot or a bench
+regression); 2 a usage error.  A dataset that fails manifest
+validation (including a missing DATASET or a file path where a dataset
+directory is expected) exits 3, a crawl the coordinator cannot
+complete exits 4, and an unreachable or failing shard store exits 5.
+Each of these prints one ``repro: <message>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -144,71 +151,52 @@ def _run_crawl(args: List[str]) -> None:
     store_retries = pop_int_flag(args, "--store-retries", 3, minimum=1)
     store_backoff = pop_float_flag(args, "--store-backoff", 0.1, minimum=0)
     reject_unknown_flags(args)
+    if backend_name == "inprocess" and jobs > 1:
+        print(f"crawl: --backend inprocess runs one shard at a time; "
+              f"it cannot use --jobs {jobs}")
+        raise SystemExit(2)
     n_sites = int(args[0]) if args else 2000
-    distributed = (backend_name is not None or cache_dir is not None
-                   or task_timeout is not None)
-    # The shard count is deliberately NOT derived from --jobs: shard
-    # ranks are part of the cache key, so a jobs change must not change
-    # the plan (the coordinator's own default is population-sized).
-    default_out = "crawl" if (shards or distributed) else "crawl.jsonl.gz"
-    out = args[1] if len(args) > 1 else default_out
-    if compress and not shards and not str(out).endswith(".gz"):
-        out = f"{out}.gz"
+    out = args[1] if len(args) > 1 else "crawl"
 
-    from .crawler import (CrawlConfig, ParallelCrawler, print_progress,
-                          save_logs)
+    from pathlib import Path
+
+    from .crawler import (Coordinator, CrawlConfig, HTTPStoreBackend,
+                          RetryPolicy, ShardStore, make_backend,
+                          print_progress)
     from .ecosystem import PopulationConfig, generate_population
+    backend = make_backend(backend_name, jobs=jobs, cache_dir=cache_dir)
     population = generate_population(PopulationConfig(n_sites=n_sites,
                                                       seed=2025))
     config = CrawlConfig(seed=2025, concurrency=concurrency)
+    store = None
+    if cache_dir:
+        # The CLI runs resilient by default: a store outage spills to
+        # OUT/store-overflow (reconciled by a later run) instead of
+        # failing the crawl.  Retry/backoff/overflow are pure
+        # scheduling — cache keys and shard bytes are unaffected.
+        target = (HTTPStoreBackend(
+            cache_dir, retry=RetryPolicy(attempts=store_retries,
+                                         backoff=store_backoff))
+            if "://" in cache_dir else cache_dir)
+        store = ShardStore(target, overflow_dir=Path(out) / "store-overflow")
     progress = print_progress if show_progress else None
-    if distributed:
-        from pathlib import Path
-
-        from .crawler import (Coordinator, HTTPStoreBackend, RetryPolicy,
-                              ShardStore, make_backend)
-        backend = make_backend(backend_name or "inprocess", jobs=jobs,
-                               cache_dir=cache_dir)
-        store = None
-        if cache_dir:
-            # The CLI runs resilient by default: a store outage spills
-            # to OUT/store-overflow (reconciled by a later run) instead
-            # of failing the crawl.  Retry/backoff/overflow are pure
-            # scheduling — cache keys and shard bytes are unaffected.
-            target = (HTTPStoreBackend(
-                cache_dir, retry=RetryPolicy(attempts=store_retries,
-                                             backoff=store_backoff))
-                if "://" in cache_dir else cache_dir)
-            store = ShardStore(target,
-                               overflow_dir=Path(out) / "store-overflow")
-        coordinator = Coordinator(population, config, backend=backend,
-                                  max_retries=max_retries, store=store,
-                                  compress=compress, progress=progress,
-                                  task_timeout=task_timeout)
-        report = coordinator.run(out, n_shards=shards)
-        print(f"saved {report.manifest.total} visit logs to {out}/ "
-              f"({report.manifest.n_shards} shards, "
-              f"backend={backend.name}, jobs={jobs}, "
-              f"concurrency={concurrency}, "
-              f"executed={report.executed_shards}, "
-              f"cached={report.cached_shards}, "
-              f"reused={report.reused_shards}, "
-              f"visits executed={report.visits_executed}, "
-              f"retries={report.retries})")
-        return
-    crawler = ParallelCrawler(population, config, jobs=jobs,
-                              progress=progress)
-    if shards:
-        manifest = crawler.crawl_to_dir(out, n_shards=shards,
-                                        compress=compress)
-        print(f"saved {manifest.total} visit logs to {out}/ "
-              f"({manifest.n_shards} shards, jobs={jobs}, "
-              f"concurrency={concurrency})")
-    else:
-        logs = crawler.crawl()
-        written = save_logs(logs, out)
-        print(f"saved {written} visit logs to {out} "
-              f"(jobs={jobs}, concurrency={concurrency})")
+    coordinator = Coordinator(population, config, backend=backend,
+                              max_retries=max_retries, store=store,
+                              compress=compress, progress=progress,
+                              task_timeout=task_timeout)
+    # The shard count is deliberately NOT derived from --jobs: shard
+    # ranks are part of the cache key, so a jobs change must not change
+    # the plan (the coordinator's own default is population-sized).
+    report = coordinator.run(out, n_shards=shards)
+    print(f"saved {report.manifest.total} visit logs to {out}/ "
+          f"({report.manifest.n_shards} shards, "
+          f"backend={backend.name}, jobs={jobs}, "
+          f"concurrency={concurrency}, "
+          f"executed={report.executed_shards}, "
+          f"cached={report.cached_shards}, "
+          f"reused={report.reused_shards}, "
+          f"visits executed={report.visits_executed}, "
+          f"retries={report.retries})")
 
 
 def _run_analyze(args: List[str]) -> None:
@@ -220,7 +208,7 @@ def _run_analyze(args: List[str]) -> None:
     report_out = pop_flag(args, "--report")
     reject_unknown_flags(args)
     if len(args) != 1:
-        print("analyze needs exactly one DATASET (file or sharded dir)")
+        print("analyze needs exactly one DATASET directory")
         raise SystemExit(2)
     if resume and not snapshot_path:
         print("analyze: --resume requires --snapshot PATH")
@@ -229,10 +217,6 @@ def _run_analyze(args: List[str]) -> None:
 
     from .analysis.reports import Study, StudyAccumulator
     if snapshot_path:
-        if not dataset.is_dir():
-            print("analyze: --snapshot needs a sharded dataset directory "
-                  "(snapshots are diffed against per-shard digests)")
-            raise SystemExit(2)
         from .analysis.snapshot import (SnapshotError, load_snapshot,
                                         refresh_study, save_snapshot)
         old = None
@@ -401,7 +385,27 @@ def _run_index_shards(args: List[str]) -> None:
 
 
 def main(argv=None) -> None:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    """Run one command; dataset, crawl and store failures exit with one
+    ``repro: <message>`` stderr line and their own exit code."""
+    from .crawler import CoordinationError, ManifestError, StoreBackendError
+
+    try:
+        _dispatch(list(sys.argv[1:] if argv is None else argv))
+    except ManifestError as exc:
+        _fail(exc, 3)
+    except CoordinationError as exc:
+        _fail(exc, 4)
+    except StoreBackendError as exc:
+        _fail(exc, 5)
+
+
+def _fail(exc: Exception, code: int) -> None:
+    message = " ".join(str(exc).split()) or type(exc).__name__
+    print(f"repro: {message}", file=sys.stderr)
+    raise SystemExit(code)
+
+
+def _dispatch(argv: List[str]) -> None:
     if not argv:
         _usage()
     command, *args = argv

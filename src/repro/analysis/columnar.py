@@ -482,8 +482,8 @@ def iter_shard_batches(path, batch_size: int = DEFAULT_BATCH_SIZE
                        ) -> Iterator[ShardBatch]:
     """Stream a dataset as :class:`ShardBatch` chunks.
 
-    Accepts the same inputs as :func:`repro.crawler.storage.iter_logs`
-    (single JSONL file or sharded directory) and performs the same
+    Accepts the same dataset directory as
+    :func:`repro.crawler.storage.iter_logs` and performs the same
     manifest validation, but decodes JSON straight into columns — the
     per-event dataclass layer is skipped entirely.
     """

@@ -27,6 +27,7 @@ bytes and a torn or hand-edited file is refused on load.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 from collections import Counter
@@ -34,9 +35,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from ..crawler.storage import ShardManifest, dataset_digests
+from ..crawler.storage import (ShardManifest, dataset_digests,
+                               iter_shard_dicts)
 from .attribution import CookiePair, CrossDomainAction, SiteOwnership
-from .columnar import iter_shard_batches
+from .columnar import DEFAULT_BATCH_SIZE, ShardBatch
 from .entities import EntityMap
 from .exfiltration import ExfilEvent
 from .filterlists import FilterList
@@ -362,12 +364,16 @@ class RefreshResult:
         return bool(self.reingested) or self.dropped > 0
 
 
-def _ingest_shard(path: Path, entity_map: Optional[EntityMap],
+def _ingest_shard(dataset: Path, manifest: ShardManifest, pos: int,
+                  entity_map: Optional[EntityMap],
                   filter_list: Optional[FilterList]) -> StudyAccumulator:
     acc = StudyAccumulator(entity_map, filter_list)
-    for batch in iter_shard_batches(path):
-        acc.add_shard_batch(batch)
-    return acc
+    dicts = iter_shard_dicts(dataset, pos, manifest)
+    while True:
+        batch = list(itertools.islice(dicts, DEFAULT_BATCH_SIZE))
+        if not batch:
+            return acc
+        acc.add_shard_batch(ShardBatch.from_dicts(batch))
 
 
 def refresh_study(snapshot: Optional[StudySnapshot],
@@ -412,7 +418,8 @@ def refresh_study(snapshot: Optional[StudySnapshot],
                                       count=manifest.counts[pos]))
             reused.append(name)
             continue
-        acc = _ingest_shard(dataset / name, entity_map, filter_list)
+        acc = _ingest_shard(dataset, manifest, pos, entity_map,
+                            filter_list)
         parts.append(SnapshotPart(state=accumulator_state(acc), file=name,
                                   sha256=digest,
                                   count=manifest.counts[pos]))

@@ -43,9 +43,7 @@ points — ``worker.exec`` in :func:`run_shard_worker` (crash/hang),
 ``journal.append`` in :meth:`WorkQueue._append` (torn record) — so a
 seeded :class:`~repro.faults.FaultPlan` can drive reproducible chaos
 schedules (the chaos matrix in ``tests/test_faults.py`` and the
-``chaos-smoke`` CI job).  The legacy :data:`FAULT_ONCE_ENV` hook (a
-directory path; each shard worker crashes once) is kept as shorthand,
-reimplemented as an implicit crash-once plan.
+``chaos-smoke`` CI job).
 
 Resilience: ``Coordinator(task_timeout=...)`` arms a lease deadline —
 the subprocess backend kills a worker whose deadline passes (its log
@@ -75,7 +73,7 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
 
 from ..ecosystem.population import (POPULATION_VERSION, Population,
                                     PopulationConfig)
-from ..faults import FaultPlan, FaultPoint, InjectedFault, maybe_fire
+from ..faults import InjectedFault, maybe_fire
 from .crawler import CrawlConfig, Crawler, config_fingerprint
 from .parallel import (CrawlProgress, Shard, ShardPlan, derive_shard_config,
                        _init_worker, _WORKER)
@@ -92,7 +90,6 @@ __all__ = [
     "CoordinationError",
     "Coordinator",
     "CrawlReport",
-    "FAULT_ONCE_ENV",
     "HTTPStoreBackend",
     "InMemoryBackend",
     "InProcessBackend",
@@ -125,12 +122,6 @@ WORKSPEC_NAME = "workspec.json"
 #: (``POPULATION_VERSION`` 2), changing site — and therefore shard —
 #: bytes, and task/spec rank lists gained a compact range encoding.
 QUEUE_VERSION = 3
-
-#: Test-only hook: a directory path; each shard worker crashes once.
-#: Shorthand for a ``FaultPlan([FaultPoint("worker.exec", kind="crash",
-#: times=1)], state_dir=<dir>)`` — the general mechanism is
-#: :data:`repro.faults.FAULT_PLAN_ENV`.
-FAULT_ONCE_ENV = "REPRO_FAULT_ONCE_DIR"
 
 # Task states (journal values, also in-memory).
 PENDING = "pending"
@@ -648,17 +639,8 @@ def _worker_exec_fault(index: int) -> None:
 
     ``crash`` hard-exits like a killed worker (no result line, exit 3);
     ``hang`` blocks like a wedged one (exercising ``--task-timeout``).
-    The legacy :data:`FAULT_ONCE_ENV` directory hook is shorthand for a
-    crash-once plan whose counters persist in that directory.
     """
     from .. import faults
-    fault_dir = os.environ.get(FAULT_ONCE_ENV)
-    if fault_dir:
-        plan = FaultPlan([FaultPoint("worker.exec", kind="crash", times=1)],
-                         state_dir=fault_dir)
-        if plan.fires("worker.exec", scope=str(index)) is not None:
-            # Simulate a killed worker: no result line, hard non-zero exit.
-            os._exit(3)
     point = maybe_fire("worker.exec", scope=str(index))
     if point is not None:
         if point.kind == "crash":
@@ -791,9 +773,8 @@ def _pool_run_shard(args) -> Tuple[int, bool, str, int, str]:
 class ProcessPoolBackend(WorkerBackend):
     """Fans shard tasks over a local multiprocessing pool.
 
-    This wraps the same worker plumbing as
-    :class:`~repro.crawler.parallel.ParallelCrawler` (population shipped
-    once via the pool initializer, small task tuples per shard).
+    The population is shipped once per worker via the pool initializer
+    (:mod:`repro.crawler.parallel`); each task is a small shard tuple.
     """
 
     name = "pool"
@@ -983,16 +964,19 @@ class SubprocessBackend(WorkerBackend):
                   f"(worker log kept at {log_path})")
 
 
-def make_backend(name: str, jobs: int = 1,
+def make_backend(name: Optional[str] = None, jobs: int = 1,
                  mp_context: Optional[str] = None,
                  cache_dir: Optional[Union[str, Path]] = None
                  ) -> WorkerBackend:
     """Backend factory for the CLI: inprocess | pool | subprocess.
 
-    ``cache_dir`` only reaches the subprocess backend (whose workers
-    speak ``--cache-dir`` themselves); in-process backends share the
-    coordinator's store object instead.
+    With no ``name`` the choice follows ``jobs``: ``pool`` for more than
+    one job, ``inprocess`` otherwise.  ``cache_dir`` only reaches the
+    subprocess backend (whose workers speak ``--cache-dir`` themselves);
+    in-process backends share the coordinator's store object instead.
     """
+    if name is None:
+        name = "pool" if jobs > 1 else "inprocess"
     if name == "inprocess":
         return InProcessBackend()
     if name == "pool":

@@ -1,16 +1,12 @@
 """Persistence for crawl datasets (JSONL, optionally gzipped).
 
-Two on-disk layouts are supported:
-
-* **Single file** — one JSON object per visit, the seed layout.
-* **Sharded directory** — ``shard-0000.jsonl[.gz] … shard-NNNN.jsonl[.gz]``
-  plus a ``manifest.json`` describing the shards.  This is what the
-  parallel crawl engine streams to, so a full-scale crawl never has to
-  hold every :class:`VisitLog` in memory at once.
-
-``save_logs``/``load_logs`` speak both layouts: pass ``shards=N`` (or a
-directory path) to write the sharded form; ``load_logs`` detects a
-manifest directory automatically and validates it while reading.
+A dataset is a directory: ``shard-0000.jsonl[.gz] …
+shard-NNNN.jsonl[.gz]`` plus a ``manifest.json`` that pins each shard's
+log count and SHA-256.  The crawl coordinator streams each shard to its
+own file, so a full-scale crawl never has to hold every
+:class:`VisitLog` in memory at once.  ``save_logs`` writes the same
+layout from logs already in memory; every reader requires the manifest
+and validates the shards against it while reading.
 
 Sharded writes also emit a **sidecar index** per shard
 (``shard-NNNN.index.json``): a rank → (byte offset, line length) map
@@ -40,7 +36,6 @@ from ..faults import InjectedFault, maybe_fire
 from .logs import VisitLog
 
 __all__ = [
-    "CrawlDataset",
     "IndexBuildResult",
     "ManifestError",
     "SHARD_FORMAT_VERSION",
@@ -55,6 +50,7 @@ __all__ = [
     "iter_dict_batches",
     "iter_dicts",
     "iter_logs",
+    "iter_shard_dicts",
     "load_logs",
     "load_shard_index",
     "shard_index_from_bytes",
@@ -270,6 +266,10 @@ class ShardManifest:
 
     @classmethod
     def load(cls, directory: Union[str, Path]) -> "ShardManifest":
+        if not Path(directory).is_dir():
+            raise ManifestError(
+                f"{directory} is not a dataset directory "
+                f"(expected shard files and {MANIFEST_NAME})")
         path = Path(directory) / MANIFEST_NAME
         if not path.exists():
             raise ManifestError(f"no {MANIFEST_NAME} in {directory}")
@@ -299,7 +299,7 @@ _WRITE_CHUNK_LINES = 512
 
 
 def _write_shard(logs: Iterable[VisitLog], path: Path,
-                 index_path: Optional[Path] = None) -> "ShardWriteResult":
+                 index_path: Path) -> "ShardWriteResult":
     """Stream logs to ``path`` as compact JSONL; returns count + digest.
 
     One serialization pass: compact separators (no cosmetic spaces —
@@ -310,9 +310,9 @@ def _write_shard(logs: Iterable[VisitLog], path: Path,
     bytes stay a pure function of the content — the determinism the
     distributed coordinator's retry verification leans on.
 
-    With ``index_path``, a sidecar rank→offset index over the
-    uncompressed stream is written alongside.  The shard bytes (and
-    therefore digest) are identical with or without the sidecar.
+    A sidecar rank→offset index over the uncompressed stream is written
+    to ``index_path``.  The shard bytes (and therefore digest) are
+    identical with or without the sidecar.
     """
     count = 0
     offset = 0
@@ -329,10 +329,9 @@ def _write_shard(logs: Iterable[VisitLog], path: Path,
             for log in logs:
                 line = dumps(log.to_dict(),
                              separators=(",", ":")).encode("utf-8")
-                if index_path is not None:
-                    ranks.append(log.rank)
-                    offsets.append(offset)
-                    lengths.append(len(line))
+                ranks.append(log.rank)
+                offsets.append(offset)
+                lengths.append(len(line))
                 offset += len(line) + 1
                 buf.append(line)
                 count += 1
@@ -345,10 +344,9 @@ def _write_shard(logs: Iterable[VisitLog], path: Path,
             if out is not tee:
                 out.close()
     digest = tee.sha.hexdigest()
-    if index_path is not None:
-        write_shard_index(index_path, ShardIndex(
-            file=path.name, count=count, sha256=digest,
-            ranks=ranks, offsets=offsets, lengths=lengths))
+    write_shard_index(index_path, ShardIndex(
+        file=path.name, count=count, sha256=digest,
+        ranks=ranks, offsets=offsets, lengths=lengths))
     return ShardWriteResult(name=path.name, count=count, sha256=digest)
 
 
@@ -356,7 +354,7 @@ def write_shard(logs: Iterable[VisitLog], directory: Union[str, Path],
                 index: int, compress: bool = False) -> ShardWriteResult:
     """Write one shard file into ``directory``; returns name/count/digest.
 
-    Used by parallel and distributed workers, which each own one shard;
+    Used by the coordinator's workers, which each own one shard;
     the coordinator assembles and saves the :class:`ShardManifest` from
     the returned digests afterwards.  Gzip output is deterministic
     (zeroed header), so the digest is a pure function of the logs.
@@ -379,27 +377,15 @@ def write_shard(logs: Iterable[VisitLog], directory: Union[str, Path],
     return result
 
 
-def save_shard(logs: Iterable[VisitLog], directory: Union[str, Path],
-               index: int, compress: bool = False) -> int:
-    """Back-compat wrapper around :func:`write_shard` (count only)."""
-    return write_shard(logs, directory, index, compress=compress).count
-
-
 def save_logs(logs: Iterable[VisitLog], path: Union[str, Path],
-              shards: Optional[int] = None, compress: bool = False) -> int:
-    """Write a crawl dataset; returns the number of logs written.
+              shards: int = 1, compress: bool = False) -> int:
+    """Write a crawl dataset directory; returns the number of logs written.
 
-    With ``shards`` unset and a file path, writes the single-file JSONL
-    layout (gzipped when the name ends in ``.gz``).  With ``shards=N``
-    — or when ``path`` is an existing directory — writes the sharded
-    layout: logs are split into ``N`` near-even contiguous runs (in the
+    Logs are split into ``shards`` near-even contiguous runs (in the
     given order), one file per shard, plus ``manifest.json``.
     """
     path = Path(path)
-    if shards is None and not path.is_dir():
-        return _write_shard(logs, path).count
-
-    n_shards = max(int(shards or 1), 1)
+    n_shards = max(int(shards), 1)
     logs = list(logs)
     path.mkdir(parents=True, exist_ok=True)
     base, extra = divmod(len(logs), n_shards)
@@ -713,49 +699,56 @@ def _iter_file_dicts(path: Path) -> Iterator[Dict]:
                 yield json.loads(line)
 
 
-def _iter_file(path: Path) -> Iterator[VisitLog]:
-    for data in _iter_file_dicts(path):
-        yield VisitLog.from_dict(data)
+def iter_shard_dicts(directory: Union[str, Path], index: int,
+                     manifest: Optional[ShardManifest] = None
+                     ) -> Iterator[Dict]:
+    """Stream one shard of a dataset one parsed-JSON dict at a time.
+
+    Validated against the manifest: a missing shard file, bytes not
+    readable in the recorded layout, or a log count other than the
+    recorded one raise :class:`ManifestError` naming the shard.
+    """
+    directory = Path(directory)
+    if manifest is None:
+        manifest = ShardManifest.load(directory)
+    if not 0 <= index < manifest.n_shards:
+        raise ManifestError(
+            f"shard index {index} out of range 0..{manifest.n_shards - 1}")
+    name = manifest.files[index]
+    shard_path = directory / name
+    if not shard_path.exists():
+        raise ManifestError(f"manifest lists missing shard {name}")
+    seen = 0
+    try:
+        for data in _iter_file_dicts(shard_path):
+            seen += 1
+            yield data
+    except (OSError, EOFError, UnicodeDecodeError,
+            json.JSONDecodeError) as exc:
+        # Covers a manifest/disk format mismatch: a .gz shard name over
+        # plain bytes (BadGzipFile/EOFError) or gzip bytes under a plain
+        # name (UnicodeDecodeError/JSON garbage).
+        layout = "gzip JSONL" if name.endswith(".gz") else "plain JSONL"
+        raise ManifestError(
+            f"shard {index} ({name}) is not readable as the "
+            f"{layout} the manifest records: {exc}") from exc
+    if seen != manifest.counts[index]:
+        raise ManifestError(
+            f"shard {index} ({name}) holds {seen} logs, "
+            f"manifest says {manifest.counts[index]}")
 
 
 def iter_dicts(path: Union[str, Path]) -> Iterator[Dict]:
     """Stream a dataset one parsed-JSON dict at a time.
 
-    The decode layer under :func:`iter_logs`, with the identical layout
-    handling and manifest validation, but stopping at dicts — what the
-    columnar batch path consumes, skipping the per-event dataclass
-    construction entirely.
+    The decode layer under :func:`iter_logs`, with the identical
+    manifest validation, but stopping at dicts — what the columnar batch
+    path consumes, skipping the per-event dataclass construction
+    entirely.
     """
-    path = Path(path)
-    if not path.is_dir():
-        yield from _iter_file_dicts(path)
-        return
     manifest = ShardManifest.load(path)
-    for index, (name, expected) in enumerate(zip(manifest.files,
-                                                 manifest.counts)):
-        shard_path = path / name
-        if not shard_path.exists():
-            raise ManifestError(f"manifest lists missing shard {name}")
-        seen = 0
-        try:
-            for data in _iter_file_dicts(shard_path):
-                seen += 1
-                yield data
-        except ManifestError:
-            raise
-        except (OSError, EOFError, UnicodeDecodeError,
-                json.JSONDecodeError) as exc:
-            # Covers a manifest/disk format mismatch: a .gz shard name
-            # over plain bytes (BadGzipFile/EOFError) or gzip bytes
-            # under a plain name (UnicodeDecodeError/JSON garbage).
-            layout = "gzip JSONL" if name.endswith(".gz") else "plain JSONL"
-            raise ManifestError(
-                f"shard {index} ({name}) is not readable as the "
-                f"{layout} the manifest records: {exc}") from exc
-        if seen != expected:
-            raise ManifestError(
-                f"shard {index} ({name}) holds {seen} logs, "
-                f"manifest says {expected}")
+    for index in range(manifest.n_shards):
+        yield from iter_shard_dicts(path, index, manifest)
 
 
 def iter_dict_batches(path: Union[str, Path],
@@ -777,9 +770,9 @@ def iter_dict_batches(path: Union[str, Path],
 def iter_logs(path: Union[str, Path]) -> Iterator[VisitLog]:
     """Stream a dataset one :class:`VisitLog` at a time.
 
-    Accepts a single JSONL file or a sharded directory; shards stream in
-    index order and each shard's log count is checked against the
-    manifest (:class:`ManifestError` on mismatch or missing files).
+    Shards stream in index order and each shard's log count is checked
+    against the manifest (:class:`ManifestError` on mismatch, missing
+    files, or a path that is not a dataset directory).
     """
     for data in iter_dicts(path):
         yield VisitLog.from_dict(data)
@@ -811,41 +804,12 @@ def verify_shard_files(directory: Union[str, Path],
 
 
 def load_logs(path: Union[str, Path]) -> List[VisitLog]:
-    """Read a crawl dataset (single file or sharded directory)."""
+    """Read a crawl dataset directory into memory."""
     return list(iter_logs(path))
 
 
 def load_shard(directory: Union[str, Path], index: int) -> List[VisitLog]:
-    """Read one shard of a sharded dataset."""
-    directory = Path(directory)
-    manifest = ShardManifest.load(directory)
-    if not 0 <= index < manifest.n_shards:
-        raise ManifestError(
-            f"shard index {index} out of range 0..{manifest.n_shards - 1}")
-    return list(_iter_file(directory / manifest.files[index]))
+    """Read one shard of a dataset (validated like :func:`iter_logs`)."""
+    return [VisitLog.from_dict(data)
+            for data in iter_shard_dicts(directory, index)]
 
-
-class CrawlDataset:
-    """A collection of visit logs with the paper's retention filter."""
-
-    def __init__(self, logs: List[VisitLog]):
-        self.logs = logs
-
-    @classmethod
-    def from_file(cls, path: Union[str, Path]) -> "CrawlDataset":
-        return cls(load_logs(path))
-
-    def save(self, path: Union[str, Path],
-             shards: Optional[int] = None, compress: bool = False) -> int:
-        return save_logs(self.logs, path, shards=shards, compress=compress)
-
-    @property
-    def complete(self) -> List[VisitLog]:
-        """Sites with both cookie access logs and network data (§4.2)."""
-        return [log for log in self.logs if log.complete]
-
-    def __len__(self) -> int:
-        return len(self.logs)
-
-    def __iter__(self):
-        return iter(self.logs)

@@ -6,10 +6,12 @@ instead of re-running it per test.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.analysis import Study
-from repro.crawler import CrawlConfig, Crawler
+from repro.crawler import Coordinator, CrawlConfig, Crawler, load_logs
 from repro.ecosystem import PopulationConfig, generate_population
 
 SMALL_N = 400
@@ -34,3 +36,21 @@ def guarded_logs(population):
 @pytest.fixture(scope="session")
 def study(crawl_logs):
     return Study(crawl_logs)
+
+
+@pytest.fixture()
+def coordinated_crawl(tmp_path):
+    """Crawl a whole population through the coordinator; returns its logs.
+
+    Keyword arguments go to :class:`Coordinator`; each call writes a
+    fresh dataset directory under ``tmp_path``.
+    """
+    runs = itertools.count()
+
+    def crawl(population, config=CrawlConfig(seed=2025), n_shards=1,
+              **coordinator_kwargs):
+        out = tmp_path / f"coordinated-{next(runs)}"
+        Coordinator(population, config, **coordinator_kwargs).run(
+            out, n_shards=n_shards)
+        return load_logs(out)
+    return crawl

@@ -7,9 +7,9 @@ Two layers of guarantees:
   propagation and coroutine cleanup.
 * **Cross-engine equivalence matrix** — the crawl's ``VisitLog`` stream
   (and the merged ``Study`` output) is bit-identical across the serial
-  path, the async engine at concurrency 2/8/64, and process-worker ×
-  async combinations under both shard strategies.  This is the
-  within-shard analogue of ``tests/test_parallel_crawl.py``.
+  path, the async engine at concurrency 2/8/64, and coordinator crawls
+  on the pool backend × async combinations under both shard strategies.
+  This is the within-shard analogue of ``tests/test_parallel_crawl.py``.
 """
 
 from __future__ import annotations
@@ -22,11 +22,13 @@ from repro.analysis import Study
 from repro.crawler import (
     CrawlConfig,
     Crawler,
-    ParallelCrawler,
+    InProcessBackend,
+    ProcessPoolBackend,
     VisitEngine,
     WaitPoint,
     drive,
 )
+from repro.ecosystem import PopulationConfig, generate_population
 
 SEED_CFG = CrawlConfig(seed=2025)
 
@@ -201,6 +203,22 @@ def subset_stream(population, subset):
     return _stream(Crawler(population, SEED_CFG).crawl(subset))
 
 
+@pytest.fixture(scope="module")
+def small_population():
+    """60 sites, failing crawls included: the coordinator crawls whole
+    populations, so sharded runs use this instead of ``subset``."""
+    return generate_population(PopulationConfig(n_sites=60, seed=2025))
+
+
+@pytest.fixture(scope="module")
+def small_stream(small_population):
+    return _stream(Crawler(small_population, SEED_CFG).crawl())
+
+
+def _async_config(concurrency):
+    return CrawlConfig(seed=2025, concurrency=concurrency)
+
+
 class TestCrossEngineEquivalence:
     @pytest.mark.parametrize("concurrency", [2, 8, 64])
     def test_async_matches_serial(self, population, subset, subset_stream,
@@ -210,17 +228,19 @@ class TestCrossEngineEquivalence:
                                      concurrency=concurrency)) == subset_stream
 
     @pytest.mark.parametrize("strategy", ["contiguous", "stride"])
-    def test_sharded_async_matches_serial(self, population, subset,
-                                          subset_stream, strategy):
-        crawler = ParallelCrawler(population, SEED_CFG, jobs=1,
-                                  strategy=strategy, concurrency=8)
-        assert _stream(crawler.crawl(subset, n_shards=3)) == subset_stream
+    def test_sharded_async_matches_serial(self, small_population,
+                                          small_stream, coordinated_crawl,
+                                          strategy):
+        logs = coordinated_crawl(small_population, _async_config(8),
+                                 n_shards=3, strategy=strategy,
+                                 backend=InProcessBackend())
+        assert _stream(logs) == small_stream
 
-    def test_study_output_matches_serial(self, population, subset):
-        serial = Study(Crawler(population, SEED_CFG).crawl(subset))
-        crawler = ParallelCrawler(population, SEED_CFG, jobs=1,
-                                  concurrency=16)
-        merged = Study(crawler.crawl(subset, n_shards=4))
+    def test_study_output_matches_serial(self, small_population,
+                                         coordinated_crawl):
+        serial = Study(Crawler(small_population, SEED_CFG).crawl())
+        merged = Study(coordinated_crawl(small_population,
+                                         _async_config(16), n_shards=4))
         assert merged.table1() == serial.table1()
         assert merged.table2(20) == serial.table2(20)
         assert merged.sec51_prevalence() == serial.sec51_prevalence()
@@ -256,22 +276,23 @@ class TestCrossEngineEquivalence:
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("concurrency", [2, 8, 64])
     @pytest.mark.parametrize("strategy", ["contiguous", "stride"])
-    def test_process_worker_matrix(self, population, subset, subset_stream,
-                                   jobs, concurrency, strategy):
-        """The full matrix: process executor × async engine × strategy."""
-        crawler = ParallelCrawler(population, SEED_CFG, jobs=jobs,
-                                  executor="process", strategy=strategy,
-                                  concurrency=concurrency)
-        logs = crawler.crawl(subset, n_shards=2 * jobs)
-        assert _stream(logs) == subset_stream
+    def test_process_worker_matrix(self, small_population, small_stream,
+                                   coordinated_crawl, jobs, concurrency,
+                                   strategy):
+        """The full matrix: pool backend × async engine × strategy."""
+        logs = coordinated_crawl(small_population,
+                                 _async_config(concurrency),
+                                 n_shards=2 * jobs, strategy=strategy,
+                                 backend=ProcessPoolBackend(jobs))
+        assert _stream(logs) == small_stream
 
     @pytest.mark.slow
-    def test_process_async_study_matches_serial(self, population, subset):
-        serial = Study(Crawler(population, SEED_CFG).crawl(subset))
-        crawler = ParallelCrawler(population, SEED_CFG, jobs=2,
-                                  executor="process", concurrency=8)
-        merged = Study.from_shards(
-            [crawler.crawl(subset, n_shards=4)])
+    def test_process_async_study_matches_serial(self, small_population,
+                                                coordinated_crawl):
+        serial = Study(Crawler(small_population, SEED_CFG).crawl())
+        merged = Study.from_shards([coordinated_crawl(
+            small_population, _async_config(8), n_shards=4,
+            backend=ProcessPoolBackend(2))])
         assert merged.table1() == serial.table1()
         assert merged.sec52_api_usage() == serial.sec52_api_usage()
         assert merged.sec55_overwrite_attributes() == \

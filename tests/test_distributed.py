@@ -32,7 +32,6 @@ from repro.crawler import (
     population_fingerprint,
 )
 from repro.crawler.distributed import (
-    FAULT_ONCE_ENV,
     QUEUE_NAME,
     QUEUE_VERSION,
     ShardOutcome,
@@ -45,6 +44,8 @@ from repro.crawler.distributed import (
 )
 from repro.crawler.storage import ShardManifest
 from repro.ecosystem import PopulationConfig, generate_population
+from repro.faults import FaultPlan, FaultPoint, clear_plan, install_plan
+from repro.records import VisitLog
 
 N_SITES = 48
 SEED = 2025
@@ -54,6 +55,12 @@ N_SHARDS = 3
 def _stream(logs):
     return [json.dumps(log.to_dict(), sort_keys=True)
             for log in sorted(logs, key=lambda log: log.rank)]
+
+
+def _shard_file_logs(path):
+    """A bare worker's shard file (no manifest beside it), parsed."""
+    return [VisitLog.from_dict(json.loads(line))
+            for line in path.read_text(encoding="utf-8").splitlines()]
 
 
 def _study_digest(logs):
@@ -176,6 +183,8 @@ class TestBackendEquivalence:
         assert make_backend("inprocess").name == "inprocess"
         assert make_backend("pool", jobs=3).name == "pool"
         assert make_backend("subprocess").name == "subprocess"
+        assert make_backend().name == "inprocess"
+        assert make_backend(jobs=2).name == "pool"
         with pytest.raises(ValueError, match="unknown backend"):
             make_backend("carrier-pigeon")
 
@@ -330,15 +339,20 @@ class TestCrashRetry:
 
 class TestFaultInjection:
     def test_killed_subprocess_worker_is_retried(
-            self, small_population, serial_stream, tmp_path, monkeypatch):
+            self, small_population, serial_stream, tmp_path):
         """Every worker is hard-killed once; retries still converge."""
-        fault_dir = tmp_path / "faults"
-        monkeypatch.setenv(FAULT_ONCE_ENV, str(fault_dir))
         out = tmp_path / "out"
         coordinator = Coordinator(small_population, CrawlConfig(seed=SEED),
                                   backend=SubprocessBackend(jobs=2),
                                   max_retries=2)
-        report = coordinator.run(out, n_shards=2)
+        # The plan's state_dir exports it to the subprocess workers.
+        install_plan(FaultPlan([FaultPoint("worker.exec", kind="crash",
+                                           times=1)],
+                               state_dir=tmp_path / "faults"))
+        try:
+            report = coordinator.run(out, n_shards=2)
+        finally:
+            clear_plan()
         assert report.retries == 2                 # each shard died once
         assert _stream(load_logs(out)) == serial_stream
 
@@ -588,7 +602,7 @@ class TestWorkerProtocol:
         assert [r["sha256"] for r in results] \
             == list(report.manifest.digests)
         worker_logs = [log for r in results
-                       for log in load_logs(tmp_path / r["file"])]
+                       for log in _shard_file_logs(tmp_path / r["file"])]
         assert _stream(worker_logs) == serial_stream
 
     def test_worker_rejects_bad_index(self, small_population, tmp_path):

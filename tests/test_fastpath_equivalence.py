@@ -32,7 +32,7 @@ from repro.cookies.cookie import Cookie, domain_match, path_match
 from repro.cookies.jar import CookieJar
 from repro.crawler.distributed import ShardKeyFactory, ShardStore, WorkSpec
 from repro.crawler.storage import (ShardManifest, compute_digest,
-                                   load_logs, write_shard)
+                                   load_logs, save_logs, write_shard)
 from repro.net.psl import DEFAULT_PSL, PublicSuffixList
 from repro.net.url import URL, parse_url
 from repro.records import VisitLog
@@ -245,8 +245,8 @@ class TestSerializerEquivalence:
         """GOLDEN fixture → new serializer → load → re-render == fixture."""
         entries = json.loads(GOLDEN.read_text(encoding="utf-8"))
         logs = [VisitLog.from_dict(e) for e in entries]
-        written = write_shard(logs, tmp_path, 0)
-        loaded = load_logs(tmp_path / written.name)
+        save_logs(logs, tmp_path)
+        loaded = load_logs(tmp_path)
         rendered = json.dumps([log.to_dict() for log in loaded],
                               sort_keys=True, indent=1) + "\n"
         assert rendered == GOLDEN.read_text(encoding="utf-8")
@@ -433,7 +433,6 @@ class TestColumnarEquivalence:
         """JSON dicts → columns (no VisitLog objects) == object path."""
         from repro.analysis.columnar import iter_shard_batches
         from repro.analysis.reports import Study, StudyAccumulator
-        from repro.crawler.storage import save_logs
         logs = self._crawled(7)
         save_logs(logs, tmp_path, shards=3, compress=True)
         acc = StudyAccumulator()

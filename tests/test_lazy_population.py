@@ -70,10 +70,11 @@ class TestLazyEagerEquivalence:
         lazy_logs = Crawler(lazy, CrawlConfig(seed=SEED)).crawl()
         eager_logs = Crawler(eager, CrawlConfig(seed=SEED)).crawl(
             eager.materialize())
-        save_logs(lazy_logs, tmp_path / "lazy.jsonl")
-        save_logs(eager_logs, tmp_path / "eager.jsonl")
-        assert (tmp_path / "lazy.jsonl").read_bytes() \
-            == (tmp_path / "eager.jsonl").read_bytes()
+        save_logs(lazy_logs, tmp_path / "lazy")
+        save_logs(eager_logs, tmp_path / "eager")
+        for name in ("shard-0000.jsonl", "manifest.json"):
+            assert (tmp_path / "lazy" / name).read_bytes() \
+                == (tmp_path / "eager" / name).read_bytes()
         assert lazy._materialized is None  # the lazy crawl stayed lazy
 
 

@@ -1,10 +1,11 @@
-"""Determinism of the parallel sharded crawl engine.
+"""Determinism of the sharded crawl.
 
-The contract under test: for the same population and seed, the parallel
-crawler produces *bit-for-bit* the same ``VisitLog.to_dict()`` stream as
-the serial crawler (after ordering by rank), for any worker count, shard
-strategy, and executor — and ``Study`` aggregation is independent of the
-shard partition and merge order.
+The contract under test: for the same population and seed, a
+:class:`Coordinator` crawl produces *bit-for-bit* the same
+``VisitLog.to_dict()`` stream as the serial crawler (after ordering by
+rank), for any shard count, worker count, shard strategy, and backend —
+and ``Study`` aggregation is independent of the shard partition and
+merge order.
 """
 
 from __future__ import annotations
@@ -18,20 +19,33 @@ import pytest
 
 from repro.analysis import Study, StudyAccumulator
 from repro.crawler import (
+    Coordinator,
     CrawlConfig,
     CrawlProgress,
     Crawler,
-    ParallelCrawler,
+    InProcessBackend,
+    ProcessPoolBackend,
     ShardPlan,
     derive_shard_config,
 )
 from repro.crawler.crawler import _stable_token
 from repro.crawler.parallel import print_progress
+from repro.ecosystem import PopulationConfig, generate_population
 
 
 def _stream(logs):
     return [json.dumps(log.to_dict(), sort_keys=True)
             for log in sorted(logs, key=lambda log: log.rank)]
+
+
+def _population(n_sites):
+    return generate_population(PopulationConfig(n_sites=n_sites, seed=2025))
+
+
+@pytest.fixture(scope="module")
+def tiny_population():
+    """24 sites, failing crawls included: the progress-reporting crawls."""
+    return _population(24)
 
 
 # ---------------------------------------------------------------------------
@@ -96,32 +110,39 @@ class TestParallelDeterminism:
     def serial_stream(self, crawl_logs):
         return _stream(crawl_logs)
 
-    def test_serial_executor_matches(self, population, serial_stream):
-        crawler = ParallelCrawler(population, CrawlConfig(seed=2025), jobs=1)
-        assert _stream(crawler.crawl(n_shards=4)) == serial_stream
+    def test_serial_executor_matches(self, population, serial_stream,
+                                     coordinated_crawl):
+        logs = coordinated_crawl(population, n_shards=4,
+                                 backend=InProcessBackend())
+        assert _stream(logs) == serial_stream
 
-    def test_two_workers_match(self, population, serial_stream):
-        crawler = ParallelCrawler(population, CrawlConfig(seed=2025), jobs=2)
-        assert _stream(crawler.crawl()) == serial_stream
+    def test_two_workers_match(self, population, serial_stream,
+                               coordinated_crawl):
+        logs = coordinated_crawl(population, n_shards=2,
+                                 backend=ProcessPoolBackend(2))
+        assert _stream(logs) == serial_stream
 
-    def test_stride_strategy_matches(self, population):
-        sites = population.successful_sites()[:40]
-        serial = Crawler(population, CrawlConfig(seed=2025)).crawl(sites)
-        crawler = ParallelCrawler(population, CrawlConfig(seed=2025),
-                                  jobs=2, strategy="stride")
-        assert _stream(crawler.crawl(sites)) == _stream(serial)
+    def test_stride_strategy_matches(self, coordinated_crawl):
+        population = _population(40)
+        serial = Crawler(population, CrawlConfig(seed=2025)).crawl()
+        logs = coordinated_crawl(population, n_shards=2, strategy="stride",
+                                 backend=ProcessPoolBackend(2))
+        assert _stream(logs) == _stream(serial)
 
     @pytest.mark.slow
-    def test_four_workers_match(self, population, serial_stream):
-        crawler = ParallelCrawler(population, CrawlConfig(seed=2025), jobs=4)
-        assert _stream(crawler.crawl(n_shards=8)) == serial_stream
+    def test_four_workers_match(self, population, serial_stream,
+                                coordinated_crawl):
+        logs = coordinated_crawl(population, n_shards=8,
+                                 backend=ProcessPoolBackend(4))
+        assert _stream(logs) == serial_stream
 
-    def test_forced_process_executor_single_job(self, population):
-        sites = population.successful_sites()[:12]
-        serial = Crawler(population, CrawlConfig(seed=2025)).crawl(sites)
-        crawler = ParallelCrawler(population, CrawlConfig(seed=2025),
-                                  jobs=1, executor="process")
-        assert _stream(crawler.crawl(sites, n_shards=2)) == _stream(serial)
+    def test_forced_process_executor_single_job(self, coordinated_crawl):
+        """The pool backend's task path at jobs=1 (it runs in-process)."""
+        population = _population(12)
+        serial = Crawler(population, CrawlConfig(seed=2025)).crawl()
+        logs = coordinated_crawl(population, n_shards=2,
+                                 backend=ProcessPoolBackend(1))
+        assert _stream(logs) == _stream(serial)
 
 
 # ---------------------------------------------------------------------------
@@ -177,16 +198,15 @@ class TestStudyMerge:
 # ---------------------------------------------------------------------------
 
 class TestProgressReporting:
-    def test_off_by_default(self, population):
-        crawler = ParallelCrawler(population, CrawlConfig(seed=2025))
-        assert crawler.progress is None
+    def test_off_by_default(self, tiny_population):
+        coordinator = Coordinator(tiny_population, CrawlConfig(seed=2025))
+        assert coordinator.progress is None
 
-    def test_one_event_per_shard_batch(self, population):
-        sites = population.sites[:24]
+    def test_one_event_per_shard_batch(self, tiny_population,
+                                       coordinated_crawl):
         events = []
-        crawler = ParallelCrawler(population, CrawlConfig(seed=2025),
-                                  jobs=1, progress=events.append)
-        logs = crawler.crawl(sites, n_shards=3)
+        logs = coordinated_crawl(tiny_population, n_shards=3,
+                                 progress=events.append)
         assert len(events) == 3
         assert sorted(e.shard_index for e in events) == [0, 1, 2]
         assert all(isinstance(e, CrawlProgress) for e in events)
@@ -196,14 +216,13 @@ class TestProgressReporting:
         assert sum(e.shard_visits for e in events) == len(logs)
         assert all(e.elapsed >= 0.0 for e in events)
 
-    def test_callback_never_changes_the_output(self, population):
-        sites = population.sites[:24]
-        quiet = ParallelCrawler(population, CrawlConfig(seed=2025))
-        noisy = ParallelCrawler(population, CrawlConfig(seed=2025),
-                                jobs=1, concurrency=4,
-                                progress=lambda event: None)
-        assert _stream(noisy.crawl(sites, n_shards=3)) == \
-            _stream(quiet.crawl(sites, n_shards=3))
+    def test_callback_never_changes_the_output(self, tiny_population,
+                                               coordinated_crawl):
+        quiet = coordinated_crawl(tiny_population, n_shards=3)
+        noisy = coordinated_crawl(tiny_population,
+                                  CrawlConfig(seed=2025, concurrency=4),
+                                  n_shards=3, progress=lambda event: None)
+        assert _stream(noisy) == _stream(quiet)
 
     def test_print_progress_writes_one_line(self, capsys):
         print_progress(CrawlProgress(shard_index=1, n_shards=4,
@@ -214,13 +233,12 @@ class TestProgressReporting:
         assert "shard 1" in err and "2/4" in err and "33 visits" in err
 
     @pytest.mark.slow
-    def test_progress_fires_across_process_pool(self, population):
-        sites = population.sites[:24]
+    def test_progress_fires_across_process_pool(self, tiny_population,
+                                                coordinated_crawl):
         events = []
-        crawler = ParallelCrawler(population, CrawlConfig(seed=2025),
-                                  jobs=2, executor="process",
-                                  progress=events.append)
-        logs = crawler.crawl(sites, n_shards=2)
+        logs = coordinated_crawl(tiny_population, n_shards=2,
+                                 backend=ProcessPoolBackend(2),
+                                 progress=events.append)
         assert sorted(e.shard_index for e in events) == [0, 1]
         assert sum(e.shard_visits for e in events) == len(logs)
 

@@ -434,9 +434,9 @@ class TestSnapshotSidecar:
         calls = []
         real = snapshot_module._ingest_shard
 
-        def counting(path, entity_map, filter_list):
-            calls.append(path.name)
-            return real(path, entity_map, filter_list)
+        def counting(dataset, manifest, pos, entity_map, filter_list):
+            calls.append(manifest.files[pos])
+            return real(dataset, manifest, pos, entity_map, filter_list)
 
         monkeypatch.setattr(snapshot_module, "_ingest_shard", counting)
         return calls

@@ -8,9 +8,10 @@ import pytest
 
 from repro.analysis import Study
 from repro.crawler import (
+    Coordinator,
     CrawlConfig,
     ManifestError,
-    ParallelCrawler,
+    ProcessPoolBackend,
     ShardManifest,
     iter_logs,
     load_logs,
@@ -84,16 +85,19 @@ class TestShardedRoundTrip:
     def test_parallel_crawl_to_dir_matches_serial_save(self, population,
                                                        crawl_logs, tmp_path):
         directory = tmp_path / "parallel"
-        crawler = ParallelCrawler(population, CrawlConfig(seed=2025), jobs=2)
-        manifest = crawler.crawl_to_dir(directory, n_shards=3)
+        coordinator = Coordinator(population, CrawlConfig(seed=2025),
+                                  backend=ProcessPoolBackend(2))
+        manifest = coordinator.run(directory, n_shards=3).manifest
         assert manifest.total == len(crawl_logs)
         assert _stream(load_logs(directory)) == _stream(crawl_logs)
 
-    def test_single_file_layout_unchanged(self, crawl_logs, tmp_path):
-        path = tmp_path / "crawl.jsonl"
-        save_logs(crawl_logs[:5], path)
-        assert path.is_file()
-        assert len(load_logs(path)) == 5
+    def test_file_path_is_rejected(self, crawl_logs, tmp_path):
+        save_logs(crawl_logs[:5], tmp_path / "crawl")
+        shard = tmp_path / "crawl" / shard_filename(0)
+        with pytest.raises(ManifestError, match="not a dataset directory"):
+            load_logs(shard)
+        with pytest.raises(ManifestError, match="not a dataset directory"):
+            load_logs(tmp_path / "missing")
 
 
 class TestManifestErrors:

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.analysis.columnar import iter_shard_batches
+from repro.analysis.columnar import ShardBatch, iter_shard_batches
 from repro.analysis.reports import Study, StudyAccumulator
 from repro.analysis.snapshot import (
     SNAPSHOT_VERSION,
@@ -28,7 +28,7 @@ from repro.analysis.snapshot import (
     state_accumulator,
 )
 from repro.crawler import ShardManifest, save_logs
-from repro.crawler.storage import load_shard, write_shard
+from repro.crawler.storage import iter_shard_dicts, load_shard, write_shard
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +46,14 @@ def _dataset(tmp_path, logs, n_shards=4, compress=False):
     directory = tmp_path / "ds"
     save_logs(logs, directory, shards=n_shards, compress=compress)
     return directory
+
+
+def _add_shards(acc, directory, indexes):
+    """Feed whole shards of a dataset into ``acc``, one batch each."""
+    for index in indexes:
+        acc.add_shard_batch(ShardBatch.from_dicts(
+            list(iter_shard_dicts(directory, index))))
+    return acc
 
 
 def _touch_shard(directory, shard=0):
@@ -147,18 +155,12 @@ class TestResumeEquivalence:
                                                 reference, compress):
         """save → load → add the remaining shards == one-pass analysis."""
         directory = _dataset(tmp_path, logs, n_shards=4, compress=compress)
-        manifest = ShardManifest.load(directory)
-        half = StudyAccumulator()
-        for name in manifest.files[:2]:
-            for batch in iter_shard_batches(directory / name):
-                half.add_shard_batch(batch)
+        half = _add_shards(StudyAccumulator(), directory, range(2))
         path = tmp_path / "snap.json"
         save_snapshot(snapshot_accumulator(half), path)
 
-        resumed = StudyAccumulator.resume(path)
-        for name in manifest.files[2:]:
-            for batch in iter_shard_batches(directory / name):
-                resumed.add_shard_batch(batch)
+        resumed = _add_shards(StudyAccumulator.resume(path), directory,
+                              range(2, 4))
         assert Study.from_accumulator(resumed).report_bytes() == reference
 
     def test_resume_accepts_a_snapshot_object(self, logs, reference):
@@ -329,12 +331,12 @@ class TestAnalyzeCLI:
     def test_snapshot_rejects_single_file_datasets(self, logs, tmp_path,
                                                    capsys):
         from repro.__main__ import main
-        path = tmp_path / "crawl.jsonl"
-        save_logs(logs, path)
-        with pytest.raises(SystemExit):
-            main(["analyze", str(path), "--snapshot",
-                  str(tmp_path / "s.json")])
-        assert "sharded dataset" in capsys.readouterr().out
+        directory = _dataset(tmp_path, logs, n_shards=1)
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(directory / "shard-0000.jsonl"),
+                  "--snapshot", str(tmp_path / "s.json")])
+        assert exc.value.code == 3
+        assert "not a dataset directory" in capsys.readouterr().err
 
     def test_corrupt_snapshot_fails_with_clear_message(self, logs,
                                                        tmp_path, capsys):
@@ -362,17 +364,11 @@ class TestResumeDeterminismMatrix:
         n_shards = 4
         directory = tmp_path / ("gz" if compress else "plain")
         save_logs(logs, directory, shards=n_shards, compress=compress)
-        manifest = ShardManifest.load(directory)
         for split in range(n_shards + 1):
-            head = StudyAccumulator()
-            for name in manifest.files[:split]:
-                for batch in iter_shard_batches(directory / name):
-                    head.add_shard_batch(batch)
+            head = _add_shards(StudyAccumulator(), directory, range(split))
             path = tmp_path / f"split-{compress}-{split}.json"
             save_snapshot(snapshot_accumulator(head), path)
-            resumed = StudyAccumulator.resume(path)
-            for name in manifest.files[split:]:
-                for batch in iter_shard_batches(directory / name):
-                    resumed.add_shard_batch(batch)
+            resumed = _add_shards(StudyAccumulator.resume(path), directory,
+                                  range(split, n_shards))
             assert Study.from_accumulator(resumed).report_bytes() \
                 == reference, f"resume diverged at split {split}"

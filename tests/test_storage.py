@@ -1,29 +1,29 @@
-"""Crawl dataset persistence (JSONL round-trips)."""
+"""Crawl dataset persistence: one-shard directory round-trips."""
 
-import pytest
-
-from repro.crawler.storage import CrawlDataset, load_logs, save_logs
+from repro.crawler.storage import ShardManifest, load_logs, save_logs
 
 
 class TestRoundTrip:
     def test_jsonl_roundtrip(self, crawl_logs, tmp_path):
-        path = tmp_path / "crawl.jsonl"
+        path = tmp_path / "crawl"
         written = save_logs(crawl_logs[:10], path)
         assert written == 10
+        assert (path / "shard-0000.jsonl").is_file()
         restored = load_logs(path)
         assert len(restored) == 10
         assert restored[0].site == crawl_logs[0].site
         assert len(restored[0].cookie_writes) == len(crawl_logs[0].cookie_writes)
 
     def test_gzip_roundtrip(self, crawl_logs, tmp_path):
-        path = tmp_path / "crawl.jsonl.gz"
-        save_logs(crawl_logs[:5], path)
+        path = tmp_path / "crawl"
+        save_logs(crawl_logs[:5], path, compress=True)
+        assert (path / "shard-0000.jsonl.gz").is_file()
         restored = load_logs(path)
         assert len(restored) == 5
 
     def test_events_preserved_exactly(self, crawl_logs, tmp_path):
         original = crawl_logs[0]
-        path = tmp_path / "one.jsonl"
+        path = tmp_path / "one"
         save_logs([original], path)
         restored = load_logs(path)[0]
         assert restored.cookie_writes == original.cookie_writes
@@ -35,23 +35,16 @@ class TestRoundTrip:
 
     def test_counters_preserved(self, crawl_logs, tmp_path):
         original = crawl_logs[0]
-        path = tmp_path / "one.jsonl"
+        path = tmp_path / "one"
         save_logs([original], path)
         restored = load_logs(path)[0]
         assert restored.n_scripts == original.n_scripts
         assert restored.cookie_op_count == original.cookie_op_count
         assert restored.rank == original.rank
 
-    def test_dataset_wrapper(self, crawl_logs, tmp_path):
-        dataset = CrawlDataset(list(crawl_logs[:8]))
-        path = tmp_path / "set.jsonl"
-        dataset.save(path)
-        loaded = CrawlDataset.from_file(path)
-        assert len(loaded) == 8
-        assert len(loaded.complete) == 8
-        assert list(iter(loaded))
-
     def test_empty_file(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
+        path = tmp_path / "empty"
         save_logs([], path)
+        manifest = ShardManifest.load(path)
+        assert manifest.n_shards == 1 and manifest.total == 0
         assert load_logs(path) == []

@@ -29,12 +29,12 @@ from repro.crawler import (
     RetryPolicy,
     ShardStore,
     StoreBackendError,
-    load_logs,
 )
 from repro.crawler.distributed import WorkSpec, run_shard_worker
 from repro.crawler.storebackends import META_NAME
 from repro.faults import FaultPlan, FaultPoint
 from repro.ecosystem import PopulationConfig, generate_population
+from repro.records import VisitLog
 from repro.serve import make_store_server
 
 N_SITES = 48
@@ -244,8 +244,9 @@ class TestRemoteStoreEndToEnd:
                    for index in range(2)]
         assert [r["sha256"] for r in results] \
             == list(report.manifest.digests)
-        worker_logs = [log for r in results
-                       for log in load_logs(tmp_path / "worker" / r["file"])]
+        worker_logs = [VisitLog.from_dict(json.loads(line)) for r in results
+                       for line in (tmp_path / "worker" / r["file"])
+                       .read_text(encoding="utf-8").splitlines()]
         serial = Crawler(population, config).crawl()
         assert [log.to_dict() for log in
                 sorted(worker_logs, key=lambda l: l.rank)] \
