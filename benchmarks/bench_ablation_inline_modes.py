@@ -20,7 +20,7 @@ def _guarded_rates(population, sites, mode):
 
 
 def test_inline_mode_ablation(benchmark, population):
-    sites = population.sites[:200]
+    sites = population.sites_for(population.ranks[:200])
     strict_rates, strict_crawler = benchmark.pedantic(
         _guarded_rates, args=(population, sites, InlineMode.STRICT),
         rounds=1, iterations=1)

@@ -14,7 +14,7 @@ from conftest import banner
 
 
 def test_owner_access_ablation(benchmark, population):
-    sites = population.sites[:200]
+    sites = population.sites_for(population.ranks[:200])
 
     def run(owner_full_access):
         crawler = Crawler(population, CrawlConfig(

@@ -35,7 +35,7 @@ def _blocklist_crawl(population, sites):
 
 
 def test_blocklist_vs_cookieguard(benchmark, population):
-    sites = population.sites[:250]
+    sites = population.sites_for(population.ranks[:250])
 
     regular = Crawler(population, CrawlConfig(seed=2025)).crawl(sites)
     blocklist_logs, blockers = benchmark.pedantic(

@@ -11,7 +11,7 @@ from conftest import banner
 
 
 def test_figure5(benchmark, population):
-    sample = population.sites[:min(len(population.sites), 300)]
+    sample = population.sites_for(population.ranks[:300])
     result = benchmark.pedantic(
         evaluate_access_control, args=(population, sample),
         rounds=1, iterations=1)

@@ -22,12 +22,12 @@ def main():
 
     print("== Figure 5 — access control (paper reductions: overwrite "
           "82.2%, delete 86.2%, exfil 83.2%) ==")
-    access = evaluate_access_control(population, population.sites)
+    access = evaluate_access_control(population)
     print(access.render())
 
     print("\n== Table 3 — breakage on 100 random sites "
           "(paper: SSO 1%/11%, functionality 3%/3%) ==")
-    top_k = max(s.rank for s in population.sites)
+    top_k = len(population)
     plain = evaluate_breakage(population, sample_size=100, top_k=top_k)
     print(plain.render())
     whitelisted = evaluate_breakage(population, sample_size=100, top_k=top_k,

@@ -6,7 +6,7 @@ study [N] [--jobs J]
     run the §5 measurement study (default 2000 sites)
 evaluate [N]
     run the §7 CookieGuard evaluation (default 1000 sites)
-crawl [N] [OUT] [--jobs J] [--concurrency C] [--shards S] [--gzip]
+crawl [N] [OUT] [--jobs J] [--shards S] [--gzip]
       [--progress] [--backend B] [--cache-dir D] [--max-retries R]
       [--task-timeout S] [--store-retries N] [--store-backoff S]
     crawl through the coordinator and save raw visit logs.  OUT
@@ -60,7 +60,7 @@ index-shards DIR [DIR ...] [--force]
     backfill sidecar seek indexes (``shard-NNNN.index.json``) for
     existing sharded crawl directories; shard bytes, digests, and
     manifests are untouched.  ``--force`` rewrites valid sidecars too
-full [N] [OUT] [--jobs J] [--concurrency C] [--shards S]
+full [N] [OUT] [--jobs J] [--shards S]
     the complete paper reproduction in one shot
 
 Options
@@ -70,9 +70,6 @@ Options
                  the ``pool`` backend and J = 1 ``inprocess``.
                  Per-site seeding makes the result bit-identical to a
                  serial crawl for any J.
---concurrency C  overlap C in-flight visits per worker via the
-                 cooperative visit engine (default 1 = serial inside
-                 a worker).  Output is bit-identical for any C.
 --shards S       split the saved dataset into S shard files (default:
                  one shard per 256 sites).  Not derived from --jobs:
                  shard ranks key the shard cache.
@@ -138,7 +135,6 @@ def _usage() -> None:
 
 def _run_crawl(args: List[str]) -> None:
     jobs = pop_int_flag(args, "--jobs", 1, minimum=1)
-    concurrency = pop_int_flag(args, "--concurrency", 1, minimum=1)
     shards = pop_int_flag(args, "--shards", 0, minimum=1) or None
     compress = pop_switch(args, "--gzip")
     show_progress = pop_switch(args, "--progress")
@@ -167,7 +163,7 @@ def _run_crawl(args: List[str]) -> None:
     backend = make_backend(backend_name, jobs=jobs, cache_dir=cache_dir)
     population = generate_population(PopulationConfig(n_sites=n_sites,
                                                       seed=2025))
-    config = CrawlConfig(seed=2025, concurrency=concurrency)
+    config = CrawlConfig(seed=2025)
     store = None
     if cache_dir:
         # The CLI runs resilient by default: a store outage spills to
@@ -191,7 +187,6 @@ def _run_crawl(args: List[str]) -> None:
     print(f"saved {report.manifest.total} visit logs to {out}/ "
           f"({report.manifest.n_shards} shards, "
           f"backend={backend.name}, jobs={jobs}, "
-          f"concurrency={concurrency}, "
           f"executed={report.executed_shards}, "
           f"cached={report.cached_shards}, "
           f"reused={report.reused_shards}, "

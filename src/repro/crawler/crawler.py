@@ -10,11 +10,12 @@ The same harness drives the CookieGuard evaluation crawls: pass
 ``install_guard=True`` (and optionally a policy) to reproduce the
 "with extension" condition of Figure 5.
 
-Each visit is written as a resumable coroutine (:meth:`Crawler.
-visit_steps`) yielding :class:`~repro.crawler.engine.WaitPoint`\\ s at
-its simulated idle moments, so the cooperative engine can overlap many
-in-flight visits per worker; the serial API (:meth:`Crawler.visit_site`,
-``concurrency=1``) is the trivial schedule of the same coroutine.
+Visits are independent (each is seeded ``[seed, site.rank]``) and the
+simulated network does no I/O, so a crawl is one in-order loop:
+:meth:`Crawler.icrawl` visits each site in turn.  A visit is a generator
+(:meth:`Crawler.visit_steps`) that yields a stage label at each
+simulated idle moment, which is where a tracer can time its stages;
+:meth:`Crawler.visit_site` drains it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Tuple)
 
 import numpy as np
@@ -40,7 +41,6 @@ from ..net.dns import Resolver
 from ..net.headers import Headers
 from ..net.http import Request, Response, ResourceType
 from ..records import DomMutationEvent, ScriptRecord, VisitLog
-from .engine import VisitEngine, WaitPoint, drive
 
 __all__ = ["CrawlConfig", "Crawler", "config_fingerprint",
            "crawl_population"]
@@ -48,18 +48,11 @@ __all__ = ["CrawlConfig", "Crawler", "config_fingerprint",
 
 @dataclass(frozen=True)
 class CrawlConfig:
-    """Crawl-level switches.
+    """Crawl-level switches; every one of them can change the logs.
 
-    ``shard_index``/``shard_count`` are informational labels attached by
-    the crawl coordinator (:mod:`repro.crawler.distributed`); the
-    ``seed`` is deliberately *not* derived per shard — every visit is
-    seeded with ``[seed, site.rank]``, so shard membership can never
+    The ``seed`` is deliberately *not* derived per shard — every visit
+    is seeded with ``[seed, site.rank]``, so shard membership can never
     change a visit.
-
-    ``concurrency`` is how many in-flight visits the cooperative
-    scheduler (:mod:`repro.crawler.engine`) overlaps per worker;
-    1 (the default) is the plain serial schedule.  Because visits are
-    independent, any value produces bit-identical logs.
     """
 
     seed: int = 2025
@@ -68,9 +61,6 @@ class CrawlConfig:
     install_guard: bool = False
     guard_policy: Optional[PolicyConfig] = None
     guard_uncloak_dns: bool = False
-    shard_index: int = 0
-    shard_count: int = 1
-    concurrency: int = 1
 
 
 def config_fingerprint(config: CrawlConfig) -> str:
@@ -79,14 +69,9 @@ def config_fingerprint(config: CrawlConfig) -> str:
     This is the crawl half of the shard-cache key (see
     :mod:`repro.crawler.distributed`): two configs with the same
     fingerprint are promised to produce byte-identical shard files for
-    the same population and ranks.  The shard labels
-    (``shard_index``/``shard_count``) are excluded — the crawl output is
-    invariant to the shard layout by construction.  ``concurrency`` *is*
-    included even though the engine proves it never changes a byte:
-    cache correctness deliberately does not lean on that proof, so a
-    concurrency change re-crawls rather than trusting the equivalence.
-    Scheduling knobs that live outside :class:`CrawlConfig` (worker
-    count, backend choice) never enter the fingerprint.
+    the same population and ranks.  Scheduling knobs live outside
+    :class:`CrawlConfig` (worker count, backend choice, shard layout)
+    and never enter the fingerprint.
 
     An ``entity_of`` callable on the guard policy is recorded as a
     presence bit only — two different callables fingerprint alike — so
@@ -108,7 +93,6 @@ def config_fingerprint(config: CrawlConfig) -> str:
         "install_guard": config.install_guard,
         "guard_policy": policy_desc,
         "guard_uncloak_dns": config.guard_uncloak_dns,
-        "concurrency": config.concurrency,
     }
     blob = json.dumps(payload, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
@@ -125,72 +109,58 @@ class Crawler:
         self.guards: List = []
 
     # ------------------------------------------------------------------
-    def crawl(self, sites: Optional[Sequence[SiteSpec]] = None,
-              keep_incomplete: bool = False,
-              concurrency: Optional[int] = None) -> List[VisitLog]:
+    def crawl(self, sites: Optional[Iterable[SiteSpec]] = None,
+              keep_incomplete: bool = False) -> List[VisitLog]:
         """Crawl ``sites`` (default: the whole population).
 
         Returns the retained visit logs — those with both cookie and
         network data, matching the paper's 14,917/20,000 criterion —
-        unless ``keep_incomplete`` is set.  ``concurrency`` overrides
-        the config's in-flight visit count; the output is identical for
-        any value (see :mod:`repro.crawler.engine`).
+        unless ``keep_incomplete`` is set.
 
         ``self.guards`` holds the guard instances of *this* crawl only;
         repeated ``crawl()`` calls start from an empty list.
         """
-        return list(self.icrawl(sites, keep_incomplete=keep_incomplete,
-                                concurrency=concurrency))
+        return list(self.icrawl(sites, keep_incomplete=keep_incomplete))
 
     # ------------------------------------------------------------------
-    def icrawl(self, sites: Optional[Sequence[SiteSpec]] = None,
-               keep_incomplete: bool = False,
-               concurrency: Optional[int] = None,
-               on_visit: Optional[Callable[[int, Optional[VisitLog]], None]]
-               = None) -> Iterator[VisitLog]:
-        """Stream retained logs in site order while visits overlap.
+    def icrawl(self, sites: Optional[Iterable[SiteSpec]] = None,
+               keep_incomplete: bool = False) -> Iterator[VisitLog]:
+        """Stream retained logs in site order, one visit at a time.
 
-        The cooperative engine drives up to ``concurrency`` visit
-        coroutines at once and emits each finished log as soon as every
-        earlier site's log is out, so shard files can be written
-        incrementally in rank order.  ``on_visit(index, log)`` — if
-        given — fires per completed visit in completion order (progress
-        hooks; ``log`` is None for failed crawls).
+        ``sites`` is consumed lazily — by default the whole population,
+        synthesized per rank — so a shard file is written while its
+        sites are still being visited and no site list is ever built.
         """
         if sites is None:
-            # Lazy stream: sites synthesize per rank as the engine admits
-            # them, so a whole-population crawl never materializes the list.
             sites = self.population.iter_sites()
-        if concurrency is None:
-            concurrency = self.config.concurrency
         self.guards = []
-        engine = VisitEngine(concurrency, on_complete=on_visit)
-        jobs = [(lambda s=site: self.visit_steps(s)) for site in sites]
-        for log in engine.run_ordered(jobs):
-            if log is None:
-                continue
-            if keep_incomplete or log.complete:
+        for site in sites:
+            log = self.visit_site(site)
+            if log is not None and (keep_incomplete or log.complete):
                 yield log
 
     # ------------------------------------------------------------------
     def visit_site(self, site: SiteSpec) -> Optional[VisitLog]:
         """Visit one site; None when the crawl fails (timeout/bot wall).
 
-        The single-visit schedule: :meth:`visit_steps` run straight
-        through, every wait-point resuming immediately.
+        Drains :meth:`visit_steps` and returns its value.
         """
-        return drive(self.visit_steps(site))
+        steps = self.visit_steps(site)
+        try:
+            while True:
+                next(steps)
+        except StopIteration as done:
+            return done.value
 
     # ------------------------------------------------------------------
     def visit_steps(self, site: SiteSpec):
-        """One visit as a resumable coroutine yielding wait-points.
+        """One visit as a generator yielding a label per stage.
 
-        Every simulated idle moment — the navigation round-trip, the
-        parser hand-off before scripts run, the timing-model delays
-        between interactions — is a ``yield WaitPoint(...)`` at which
-        the engine may switch to another in-flight visit.  All visit
-        state (browser, jar, page clock, rng) is local to this
-        generator, which is what makes any interleaving safe.
+        Each simulated idle moment — the navigation round-trip, the
+        parser hand-off before scripts run, the scroll settle and each
+        click delay — is a ``yield`` of its stage label; the visit log
+        is the generator's return value.  All visit state (browser,
+        jar, page clock, rng) is local to this generator.
         """
         if site.crawl_fails:
             return None
@@ -209,10 +179,10 @@ class Crawler:
         browser.install(instrumentation)
 
         scripts = self._build_scripts(site, rng)
-        yield WaitPoint(0.0, "navigation round-trip")
+        yield "navigation"
         page = browser.visit(site.url, scripts=scripts, run=False)
         _build_markup(page)
-        yield WaitPoint(0.0, "parser hand-off")
+        yield "parser hand-off"
         page.run_scripts()
 
         if self.config.interact:
@@ -297,19 +267,18 @@ class Crawler:
     def _interact_steps(self, page, site: SiteSpec, rng):
         """Scroll and click up to three links, two seconds apart (§4.2).
 
-        Each two-second pause is a wait-point *and* a page-clock
-        advance: the engine may run other visits during the wait, while
-        this page's own virtual clock (hence every logged timestamp)
-        advances exactly as in the serial crawl.
+        Each two-second pause is a stage of the visit and an advance of
+        the page's own virtual clock, which every logged timestamp
+        reads.
         """
-        yield WaitPoint(2.0, "scroll settle")
+        yield "scroll settle"
         page.clock.advance(2.0)
         clicks = min(self.config.max_clicks, site.n_links)
         trackers = [s for s in page.scripts
                     if s.url is not None and s.behavior is not None
                     and s.is_third_party_on(site.domain)]
         for _ in range(clicks):
-            yield WaitPoint(2.0, "click delay")
+            yield "click"
             page.clock.advance(2.0)
             if trackers:
                 pick = trackers[int(rng.integers(0, len(trackers)))]
@@ -472,6 +441,7 @@ def render_site_html(site: SiteSpec, services: Dict[str, ServiceSpec]) -> str:
 
 def crawl_population(population: Population,
                      config: Optional[CrawlConfig] = None,
-                     sites: Optional[Sequence[SiteSpec]] = None) -> List[VisitLog]:
+                     sites: Optional[Iterable[SiteSpec]] = None
+                     ) -> List[VisitLog]:
     """One-call convenience: crawl a population and return retained logs."""
     return Crawler(population, config).crawl(sites)

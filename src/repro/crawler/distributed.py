@@ -31,11 +31,11 @@ This module turns that contract into a coordinator/worker system:
   compress)``.  Population fingerprint covers every
   :class:`~repro.ecosystem.population.PopulationConfig` lever; config
   fingerprint is :func:`~repro.crawler.crawler.config_fingerprint`
-  (everything output-affecting, including the cookie-guard policy and
-  ``concurrency``, *excluding* shard labels).  Worker count and backend
-  choice are pure scheduling and never enter the key, so a warm cache
-  survives any ``--jobs``/``--backend`` change while a seed or policy
-  change re-crawls.  Stale entries (bytes that no longer hash to the
+  (every :class:`~repro.crawler.crawler.CrawlConfig` switch, including
+  the cookie-guard policy).  Worker count and backend choice are pure
+  scheduling and never enter the key, so a warm cache survives any
+  ``--jobs``/``--backend`` change while a seed or policy change
+  re-crawls.  Stale entries (bytes that no longer hash to the
   recorded digest) are evicted and treated as a miss.
 
 Fault injection: the runtime declares :mod:`repro.faults` injection
@@ -75,8 +75,7 @@ from ..ecosystem.population import (POPULATION_VERSION, Population,
                                     PopulationConfig)
 from ..faults import InjectedFault, maybe_fire
 from .crawler import CrawlConfig, Crawler, config_fingerprint
-from .parallel import (CrawlProgress, Shard, ShardPlan, derive_shard_config,
-                       _init_worker, _WORKER)
+from .parallel import CrawlProgress, ShardPlan, _init_worker, _WORKER
 from .storage import (ManifestError, SHARD_FORMAT_VERSION, ShardIndex,
                       ShardManifest, ShardWriteResult, compute_digest,
                       index_filename, load_shard_index, shard_filename,
@@ -121,7 +120,11 @@ WORKSPEC_NAME = "workspec.json"
 #: Version 3: population synthesis moved to per-rank RNG streams
 #: (``POPULATION_VERSION`` 2), changing site — and therefore shard —
 #: bytes, and task/spec rank lists gained a compact range encoding.
-QUEUE_VERSION = 3
+#: Version 4: ``concurrency`` left :class:`CrawlConfig`, so the config
+#: payload, its fingerprint, and therefore run keys and shard-cache keys
+#: changed (shard bytes did not); older queues are refused and older
+#: store entries are unreachable, never a source of wrong bytes.
+QUEUE_VERSION = 4
 
 # Task states (journal values, also in-memory).
 PENDING = "pending"
@@ -279,7 +282,6 @@ def _config_to_dict(config: CrawlConfig) -> Dict:
         "install_guard": config.install_guard,
         "guard_policy": policy_desc,
         "guard_uncloak_dns": config.guard_uncloak_dns,
-        "concurrency": config.concurrency,
     }
 
 
@@ -298,7 +300,6 @@ def _config_from_dict(data: Dict) -> CrawlConfig:
         install_guard=bool(data["install_guard"]),
         guard_policy=policy,
         guard_uncloak_dns=bool(data["guard_uncloak_dns"]),
-        concurrency=int(data["concurrency"]),
     )
 
 
@@ -376,16 +377,34 @@ class WorkSpec:
         return out
 
     @classmethod
-    def from_dict(cls, data: Dict) -> "WorkSpec":
-        return cls(
-            population=dict(data["population"]),
-            config=dict(data["config"]),
-            shards=tuple(decode_ranks(ranks) for ranks in data["shards"]),
-            compress=bool(data["compress"]),
-            keep_incomplete=bool(data.get("keep_incomplete", False)),
-            population_fp=data.get("population_fp"),
-            config_fp=data.get("config_fp"),
-        )
+    def from_dict(cls, data: Dict, source: str = "work spec") -> "WorkSpec":
+        """Parse a spec; :class:`CoordinationError` naming ``source`` on a
+        missing or malformed key (including inside the population and
+        crawl configs) or a spec from another queue version."""
+        try:
+            if data["version"] != QUEUE_VERSION:
+                raise CoordinationError(
+                    f"{source}: unsupported work spec version "
+                    f"{data['version']!r} (expected {QUEUE_VERSION}); "
+                    f"re-plan the crawl")
+            _population_config_from_dict(data["population"])
+            _config_from_dict(data["config"])
+            return cls(
+                population=dict(data["population"]),
+                config=dict(data["config"]),
+                shards=tuple(decode_ranks(ranks)
+                             for ranks in data["shards"]),
+                compress=bool(data["compress"]),
+                keep_incomplete=bool(data.get("keep_incomplete", False)),
+                population_fp=data.get("population_fp"),
+                config_fp=data.get("config_fp"),
+            )
+        except KeyError as exc:
+            raise CoordinationError(
+                f"{source}: work spec is missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise CoordinationError(
+                f"{source}: malformed work spec: {exc}") from exc
 
     def save(self, directory: Union[str, Path]) -> Path:
         path = Path(directory) / WORKSPEC_NAME
@@ -395,8 +414,16 @@ class WorkSpec:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "WorkSpec":
-        return cls.from_dict(json.loads(Path(path).read_text(
-            encoding="utf-8")))
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise CoordinationError(
+                f"unreadable work spec {path}: "
+                f"{exc.strerror or exc}") from exc
+        except ValueError as exc:
+            raise CoordinationError(
+                f"invalid work spec {path}: {exc}") from exc
+        return cls.from_dict(data, source=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +643,7 @@ class WorkQueue:
 # ---------------------------------------------------------------------------
 
 def _execute_shard(population: Population, config: CrawlConfig,
-                   task_ranks: Sequence[int], index: int, of: int,
+                   task_ranks: Sequence[int], index: int,
                    out_dir: Union[str, Path], compress: bool,
                    keep_incomplete: bool) -> ShardWriteResult:
     """Crawl one shard's ranks and stream them to its shard file.
@@ -626,11 +653,8 @@ def _execute_shard(population: Population, config: CrawlConfig,
     population (``tests/test_lazy_population.py`` pins the memory
     budget with tracemalloc).
     """
-    shard = Shard(index=index, of=of, ranks=task_ranks)
-    shard_config = derive_shard_config(config, shard)
-    crawler = Crawler(population, shard_config)
-    sites = population.sites_for(shard.ranks)
-    stream = crawler.icrawl(sites, keep_incomplete=keep_incomplete)
+    stream = Crawler(population, config).icrawl(
+        population.iter_sites(task_ranks), keep_incomplete=keep_incomplete)
     return write_shard(stream, out_dir, index, compress=compress)
 
 
@@ -689,8 +713,7 @@ def run_shard_worker(spec_path: Union[str, Path], index: int,
         _population_config_from_dict(spec.population))
     config = _config_from_dict(spec.config)
     written = _execute_shard(population, config, spec.shards[index], index,
-                             len(spec.shards), target, spec.compress,
-                             spec.keep_incomplete)
+                             target, spec.compress, spec.keep_incomplete)
     if store is not None and key is not None:
         store.put(key, target / written.name, written.count, spec.compress,
                   sha256=written.sha256)
@@ -743,7 +766,7 @@ class InProcessBackend(WorkerBackend):
             try:
                 written = _execute_shard(
                     ctx.population, ctx.config, task.ranks, task.index,
-                    task.of, ctx.out_dir, ctx.compress, ctx.keep_incomplete)
+                    ctx.out_dir, ctx.compress, ctx.keep_incomplete)
             except Exception as exc:           # noqa: BLE001 — reported
                 yield ShardOutcome(index=task.index, ok=False,
                                    error=f"{type(exc).__name__}: {exc}")
@@ -760,10 +783,10 @@ def _pool_run_shard(args) -> Tuple[int, bool, str, int, str]:
     iteration in the parent, losing the other shards' outcomes — so
     failures are returned as data and surfaced per-task.
     """
-    index, of, ranks, directory, compress, keep_incomplete = args
+    index, ranks, directory, compress, keep_incomplete = args
     try:
         written = _execute_shard(_WORKER["population"], _WORKER["config"],
-                                 ranks, index, of, directory, compress,
+                                 ranks, index, directory, compress,
                                  keep_incomplete)
     except Exception as exc:                   # noqa: BLE001 — reported
         return index, False, "", 0, f"{type(exc).__name__}: {exc}"
@@ -788,7 +811,7 @@ class ProcessPoolBackend(WorkerBackend):
     def run(self, ctx: WorkContext,
             tasks: Sequence[ShardTask]) -> Iterator[ShardOutcome]:
         import multiprocessing
-        args_list = [(task.index, task.of, task.ranks, str(ctx.out_dir),
+        args_list = [(task.index, task.ranks, str(ctx.out_dir),
                       ctx.compress, ctx.keep_incomplete) for task in tasks]
         if len(args_list) == 1 or self.jobs == 1:
             # One worker would only add pickling overhead; reuse the

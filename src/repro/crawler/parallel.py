@@ -9,8 +9,6 @@ Coordinator` plans and reports with:
 * :class:`ShardPlan` deterministically partitions a population's site
   ranks into :class:`Shard`\\ s (contiguous rank ranges or a
   round-robin stride).
-* :func:`derive_shard_config` attaches shard labels to a per-shard
-  :class:`CrawlConfig`; the seed is never varied per shard.
 * :class:`CrawlProgress` and :func:`print_progress` report completed
   shards.
 * ``_WORKER``/``_init_worker`` hold the population and config once per
@@ -20,14 +18,13 @@ Coordinator` plans and reports with:
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from ..ecosystem.population import Population
 from .crawler import CrawlConfig
 
-__all__ = ["Shard", "ShardPlan", "derive_shard_config", "CrawlProgress",
-           "print_progress"]
+__all__ = ["Shard", "ShardPlan", "CrawlProgress", "print_progress"]
 
 
 # ---------------------------------------------------------------------------
@@ -109,16 +106,6 @@ class ShardPlan:
         shards = tuple(Shard(index=i, of=n_shards, ranks=part)
                        for i, part in enumerate(parts))
         return cls(shards=shards, strategy=strategy)
-
-
-def derive_shard_config(config: CrawlConfig, shard: Shard) -> CrawlConfig:
-    """The per-shard crawl configuration.
-
-    Only the shard labels change; the seed MUST stay global because the
-    per-visit rng is keyed ``[seed, site.rank]`` — deriving a per-shard
-    seed would make results depend on the shard layout.
-    """
-    return replace(config, shard_index=shard.index, shard_count=shard.of)
 
 
 # ---------------------------------------------------------------------------

@@ -205,12 +205,8 @@ class Population:
     * ``population.iter_sites(ranks=None)`` — stream sites for ``ranks``
       (default: every rank, in order).
     * ``population.sites_for(ranks)`` — eager list for one shard's ranks.
-    * ``population.materialize()`` — the full eager list, cached; only
-      appropriate for small populations.
-    * ``population.sites`` — deprecated alias for ``materialize()``; kept
-      so pre-lazy callers and tests work unchanged.  New code should use
-      the lazy accessors above — ``.sites`` on a 10M-site population will
-      happily allocate all 10M specs.
+    * ``population.successful_sites()`` — lazy view of the sites whose
+      crawl succeeds.
     """
 
     def __init__(self, config: PopulationConfig,
@@ -222,7 +218,6 @@ class Population:
         self._ctx: Optional[_SamplingContext] = None
         self._cache_size = cache_size
         self._cache: "OrderedDict[int, SiteSpec]" = OrderedDict()
-        self._materialized: Optional[List[SiteSpec]] = None
 
     # -- catalog -----------------------------------------------------------
 
@@ -254,8 +249,6 @@ class Population:
         if not 1 <= rank <= self.config.n_sites:
             raise IndexError(f"rank {rank} outside population "
                              f"1..{self.config.n_sites}")
-        if self._materialized is not None:
-            return self._materialized[rank - 1]
         cached = self._cache.get(rank)
         if cached is not None:
             self._cache.move_to_end(rank)
@@ -290,8 +283,6 @@ class Population:
         Kept in draw-for-draw lockstep with :func:`synthesize_site`
         (guarded by ``tests/test_lazy_population.py``).
         """
-        if self._materialized is not None:
-            return self._materialized[rank - 1].crawl_fails
         cached = self._cache.get(rank)
         if cached is not None:
             return cached.crawl_fails
@@ -301,26 +292,6 @@ class Population:
             [self.config.seed, _SITE_STREAM, rank])
         _site_domain(rng, rank)
         return bool(rng.random() < self.config.p_crawl_fail)
-
-    # -- eager adapters ----------------------------------------------------
-
-    def materialize(self) -> List[SiteSpec]:
-        """Build (once) and return the full eager site list."""
-        if self._materialized is None:
-            self._materialized = [self.synthesize(rank)
-                                  for rank in self.ranks]
-            self._cache.clear()
-        return self._materialized
-
-    @property
-    def sites(self) -> List[SiteSpec]:
-        """Deprecated: the fully materialized site list.
-
-        Kept for pre-lazy callers; allocates every ``SiteSpec`` in the
-        population.  Prefer ``site(rank)`` / ``iter_sites(ranks)`` /
-        ``sites_for(ranks)``, which hold O(requested) memory.
-        """
-        return self.materialize()
 
     def successful_sites(self) -> _SuccessfulSites:
         """Lazy sequence view of the sites whose crawl succeeds.

@@ -52,6 +52,14 @@ class TestCrawl:
             assert (tmp_path / "serial" / name).read_bytes() \
                 == (tmp_path / "pool" / name).read_bytes(), name
 
+    def test_concurrency_flag_is_gone(self, tmp_path, capsys):
+        out = tmp_path / "crawl"
+        code, stdout, _ = _exit(["crawl", "12", str(out),
+                                 "--concurrency", "4"], capsys)
+        assert code == 2
+        assert "--concurrency" in stdout
+        assert not out.exists()
+
     def test_inprocess_backend_rejects_jobs(self, tmp_path, capsys):
         out = tmp_path / "crawl"
         code, stdout, _ = _exit(["crawl", "12", str(out), "--backend",
@@ -98,6 +106,20 @@ class TestFailuresAreOneLine:
         assert code == 4
         _assert_one_line(err)
         assert "different crawl" in err
+
+    @pytest.mark.parametrize("name,text", [
+        ("nope.json", None),
+        ("old.json", '{"version": 1}'),
+        ("garbled.json", "{"),
+    ])
+    def test_bad_work_spec_exits_4(self, tmp_path, capsys, name, text):
+        spec = tmp_path / name
+        if text is not None:
+            spec.write_text(text)
+        code, _, err = _exit(["crawl-shard", str(spec), "0"], capsys)
+        assert code == 4
+        _assert_one_line(err)
+        assert name in err
 
     def test_store_backend_error_exits_5(self, tmp_path, capsys,
                                          monkeypatch):

@@ -9,6 +9,7 @@ retry, across coordinator crash/resume, and across a cold-vs-warm
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -503,18 +504,8 @@ class TestShardStoreKeying:
         keys = {self._key(plain), self._key(guarded), self._key(permissive)}
         assert len(keys) == 3
 
-    def test_concurrency_changes_key(self):
-        # Deliberately conservative: the engine proves concurrency never
-        # changes a byte, but the cache does not lean on that proof.
-        assert self._key(CrawlConfig(seed=SEED, concurrency=1)) \
-            != self._key(CrawlConfig(seed=SEED, concurrency=8))
-
     def test_ranks_change_key(self):
         assert self._key(ranks=(1, 2, 3)) != self._key(ranks=(1, 2, 4))
-
-    def test_shard_labels_do_not_change_key(self):
-        labelled = CrawlConfig(seed=SEED, shard_index=3, shard_count=9)
-        assert self._key(labelled) == self._key(CrawlConfig(seed=SEED))
 
     def test_jobs_and_backend_hit_the_warm_cache(self, small_population,
                                                  tmp_path):
@@ -528,18 +519,6 @@ class TestShardStoreKeying:
         report = warm.run(tmp_path / "warm", n_shards=2)
         assert report.cached_shards == 2
         assert report.visits_executed == 0
-
-    def test_concurrency_change_misses_the_warm_cache(self, small_population,
-                                                      tmp_path):
-        store = ShardStore(tmp_path / "cache")
-        Coordinator(small_population, CrawlConfig(seed=SEED),
-                    store=store).run(tmp_path / "cold", n_shards=2)
-        changed = Coordinator(small_population,
-                              CrawlConfig(seed=SEED, concurrency=4),
-                              store=store)
-        report = changed.run(tmp_path / "warm", n_shards=2)
-        assert report.cached_shards == 0
-        assert report.executed_shards == 2
 
 
 # ---------------------------------------------------------------------------
@@ -560,13 +539,44 @@ class TestWorkerProtocol:
         config = CrawlConfig(
             seed=7, max_clicks=1, install_guard=True,
             guard_policy=PolicyConfig(inline_mode=InlineMode.RELAXED,
-                                      owner_full_access=False),
-            concurrency=3)
+                                      owner_full_access=False))
         restored = _config_from_dict(_config_to_dict(config))
         assert restored.seed == 7
         assert restored.guard_policy.inline_mode is InlineMode.RELAXED
         assert restored.guard_policy.owner_full_access is False
         assert config_fingerprint(restored) == config_fingerprint(config)
+
+    def test_workspec_load_errors_name_the_path(self, small_population,
+                                                tmp_path):
+        from repro.crawler import ShardPlan
+        spec = WorkSpec.build(small_population, CrawlConfig(seed=SEED),
+                              ShardPlan.for_population(small_population, 2),
+                              compress=False, keep_incomplete=False)
+        good = spec.to_dict()
+        missing_key = {k: v for k, v in good.items() if k != "shards"}
+        cases = {
+            "absent.json": None,
+            "garbled.json": "{not json",
+            "version-1.json": json.dumps({"version": 1}),
+            "version-3.json": json.dumps(dict(good, version=3)),
+            "no-shards.json": json.dumps(missing_key),
+            "empty-config.json": json.dumps(dict(good, config={})),
+            "not-a-dict.json": "[1, 2]",
+        }
+        for name, text in cases.items():
+            path = tmp_path / name
+            if text is not None:
+                path.write_text(text)
+            with pytest.raises(CoordinationError, match=name):
+                WorkSpec.load(path)
+            with pytest.raises(CoordinationError, match=name):
+                run_shard_worker(path, 0)
+
+    def test_workspec_from_dict_checks_the_version(self):
+        with pytest.raises(CoordinationError, match="version 1"):
+            WorkSpec.from_dict({"version": 1})
+        with pytest.raises(CoordinationError, match="missing key"):
+            WorkSpec.from_dict({"version": QUEUE_VERSION})
 
     def test_entity_whitelist_policy_not_serializable(self):
         config = CrawlConfig(
@@ -630,11 +640,22 @@ class TestFingerprints:
         b = population_fingerprint(PopulationConfig(n_sites=11, seed=1))
         assert a != b
 
-    def test_config_fingerprint_ignores_shard_labels(self):
-        a = config_fingerprint(CrawlConfig(seed=1))
-        b = config_fingerprint(CrawlConfig(seed=1, shard_index=4,
-                                           shard_count=8))
-        assert a == b
+    def test_every_config_field_enters_the_fingerprint(self):
+        """Each CrawlConfig field can change the logs, so each must
+        change the cache key and cross the worker protocol."""
+        changed = {"seed": 2, "interact": False, "max_clicks": 1,
+                   "install_guard": True,
+                   "guard_policy": PolicyConfig(
+                       inline_mode=InlineMode.RELAXED),
+                   "guard_uncloak_dns": True}
+        base = CrawlConfig(seed=1)
+        names = [f.name for f in dataclasses.fields(CrawlConfig)]
+        assert sorted(names) == sorted(changed)
+        assert sorted(_config_to_dict(base)) == sorted(changed)
+        for name, value in changed.items():
+            variant = dataclasses.replace(base, **{name: value})
+            assert config_fingerprint(variant) != config_fingerprint(base), \
+                name
 
     def test_config_fingerprint_covers_guard_switches(self):
         base = CrawlConfig(seed=1)

@@ -16,7 +16,7 @@ from repro.stats.boxplot import BoxplotStats
 
 @pytest.fixture(scope="module")
 def access_eval(population):
-    sample = population.sites[:150]
+    sample = population.sites_for(population.ranks[:150])
     return evaluate_access_control(population, sample)
 
 

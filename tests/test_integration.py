@@ -30,7 +30,8 @@ class TestOptimonkCaseStudy:
 
     @pytest.fixture(scope="class")
     def log(self, population):
-        site = [s for s in population.sites if s.domain == "optimonk.com"][0]
+        site = [s for s in population.iter_sites()
+                if s.domain == "optimonk.com"][0]
         crawler = Crawler(population, CrawlConfig(seed=2025))
         return crawler.visit_site(site)
 
@@ -56,7 +57,7 @@ class TestGoosecreekCaseStudy:
 
     @pytest.fixture(scope="class")
     def log(self, population):
-        site = [s for s in population.sites
+        site = [s for s in population.iter_sites()
                 if s.domain == "goosecreekcandle.com"][0]
         return Crawler(population, CrawlConfig(seed=2025)).visit_site(site)
 
@@ -96,7 +97,8 @@ class TestCtoBundleCaseStudy:
 
 class TestGuardEndToEnd:
     def test_guard_blocks_case_study_exfiltration(self, population):
-        site = [s for s in population.sites if s.domain == "optimonk.com"][0]
+        site = [s for s in population.iter_sites()
+                if s.domain == "optimonk.com"][0]
         regular = crawl_single(site, population, guard=False)
         guarded = crawl_single(site, population, guard=True)
         regular_thefts = [e for e in detect_exfiltration(regular)

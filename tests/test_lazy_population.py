@@ -1,11 +1,11 @@
 """The lazy population protocol (ROADMAP rung: million-site populations).
 
 Contract under test: a :class:`Population` synthesizes each site on
-demand from ``[seed, rank]``, so (a) lazy access, eager
-``materialize()``, and a second independent instance all agree
-bit-for-bit, (b) the crawl fingerprint and output bytes are identical
-lazy-vs-eager, and (c) crawling one shard of a million-site plan holds
-O(shard) memory — the population never materializes behind your back.
+demand from ``[seed, rank]``, so (a) lazy access, an eager list built
+with ``synthesize`` over every rank, and a second independent instance
+all agree bit-for-bit, (b) the crawl fingerprint and output bytes are
+identical lazy-vs-eager, and (c) crawling one shard of a million-site
+plan holds O(shard) memory.
 """
 
 from __future__ import annotations
@@ -26,10 +26,15 @@ def _fresh(n_sites=N, seed=SEED):
     return generate_population(PopulationConfig(n_sites=n_sites, seed=seed))
 
 
+def _eager(population):
+    """The reference list: every rank synthesized, bypassing the cache."""
+    return [population.synthesize(rank) for rank in population.ranks]
+
+
 class TestLazyEagerEquivalence:
     def test_site_matches_materialized_list(self):
         lazy, eager = _fresh(), _fresh()
-        materialized = eager.materialize()
+        materialized = _eager(eager)
         assert len(materialized) == len(lazy) == N
         for rank in lazy.ranks:
             assert lazy.site(rank) == materialized[rank - 1]
@@ -47,11 +52,6 @@ class TestLazyEagerEquivalence:
         a, b = _fresh(), _fresh()
         assert [a.site(r) for r in a.ranks] == [b.site(r) for r in b.ranks]
 
-    def test_materialize_is_cached_and_aliased_by_sites(self):
-        population = _fresh()
-        assert population.materialize() is population.materialize()
-        assert population.sites is population.materialize()
-
     def test_out_of_range_rank_raises(self):
         population = _fresh()
         with pytest.raises(IndexError):
@@ -61,7 +61,7 @@ class TestLazyEagerEquivalence:
 
     def test_fingerprint_identical_lazy_vs_materialized(self):
         lazy, eager = _fresh(), _fresh()
-        eager.materialize()
+        _eager(eager)
         assert population_fingerprint(lazy) == population_fingerprint(eager)
 
     def test_crawl_bytes_identical_lazy_vs_eager(self, tmp_path):
@@ -69,13 +69,12 @@ class TestLazyEagerEquivalence:
         lazy, eager = _fresh(60), _fresh(60)
         lazy_logs = Crawler(lazy, CrawlConfig(seed=SEED)).crawl()
         eager_logs = Crawler(eager, CrawlConfig(seed=SEED)).crawl(
-            eager.materialize())
+            _eager(eager))
         save_logs(lazy_logs, tmp_path / "lazy")
         save_logs(eager_logs, tmp_path / "eager")
         for name in ("shard-0000.jsonl", "manifest.json"):
             assert (tmp_path / "lazy" / name).read_bytes() \
                 == (tmp_path / "eager" / name).read_bytes()
-        assert lazy._materialized is None  # the lazy crawl stayed lazy
 
 
 class TestRankDeterminism:
@@ -111,7 +110,7 @@ class TestRankDeterminism:
     def test_successful_sites_view_matches_eager_filter(self):
         population, eager = _fresh(), _fresh()
         view = population.successful_sites()
-        wanted = [s for s in eager.materialize() if not s.crawl_fails]
+        wanted = [s for s in _eager(eager) if not s.crawl_fails]
         assert len(view) == len(wanted)
         assert list(view) == wanted
         assert view[0] == wanted[0]
@@ -127,7 +126,6 @@ class TestMemoryDiscipline:
         for rank in population.ranks:
             population.site(rank)
         assert len(population._cache) <= 16
-        assert population._materialized is None
 
     def test_pickle_is_config_sized_not_population_sized(self):
         tiny = pickle.dumps(_fresh(100))
@@ -155,7 +153,6 @@ class TestMemoryDiscipline:
             logs = crawler.crawl(population.iter_sites(ranks))
             _, peak = tracemalloc.get_traced_memory()
             tracemalloc.stop()
-            assert population._materialized is None
             assert len(logs) <= shard_width
             return peak
 

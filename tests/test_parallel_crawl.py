@@ -26,7 +26,6 @@ from repro.crawler import (
     InProcessBackend,
     ProcessPoolBackend,
     ShardPlan,
-    derive_shard_config,
 )
 from repro.crawler.crawler import _stable_token
 from repro.crawler.parallel import print_progress
@@ -56,7 +55,7 @@ class TestShardPlan:
     def test_partition_covers_all_ranks(self, population):
         plan = ShardPlan.for_population(population, 7)
         seen = [rank for shard in plan for rank in shard.ranks]
-        assert sorted(seen) == sorted(s.rank for s in population.sites)
+        assert sorted(seen) == list(population.ranks)
         assert len(seen) == len(set(seen))
 
     def test_contiguous_shards_are_rank_runs(self, population):
@@ -68,7 +67,7 @@ class TestShardPlan:
     def test_stride_partition_covers_all_ranks(self, population):
         plan = ShardPlan.for_population(population, 5, strategy="stride")
         seen = sorted(rank for shard in plan for rank in shard.ranks)
-        assert seen == sorted(s.rank for s in population.sites)
+        assert seen == list(population.ranks)
 
     def test_deterministic(self, population):
         a = ShardPlan.for_population(population, 4)
@@ -89,16 +88,6 @@ class TestShardPlan:
             ShardPlan.for_ranks([1, 2], 0)
         with pytest.raises(ValueError):
             ShardPlan.for_ranks([1, 2], 2, strategy="random")
-
-    def test_config_derivation_keeps_seed(self):
-        base = CrawlConfig(seed=77, interact=False)
-        plan = ShardPlan.for_ranks(list(range(1, 11)), 3)
-        for shard in plan:
-            derived = derive_shard_config(base, shard)
-            assert derived.seed == 77
-            assert derived.interact is False
-            assert derived.shard_index == shard.index
-            assert derived.shard_count == 3
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +208,8 @@ class TestProgressReporting:
     def test_callback_never_changes_the_output(self, tiny_population,
                                                coordinated_crawl):
         quiet = coordinated_crawl(tiny_population, n_shards=3)
-        noisy = coordinated_crawl(tiny_population,
-                                  CrawlConfig(seed=2025, concurrency=4),
-                                  n_shards=3, progress=lambda event: None)
+        noisy = coordinated_crawl(tiny_population, n_shards=3,
+                                  progress=lambda event: None)
         assert _stream(noisy) == _stream(quiet)
 
     def test_print_progress_writes_one_line(self, capsys):
